@@ -86,32 +86,24 @@ def bivariate_gradient(x: float, y: float) -> np.ndarray:
     ])
 
 
-def trivariate_monomials(x: float, y: float, z: float) -> np.ndarray:
-    """Degree-3 basis at a point, ordered as TRIVARIATE.exps3."""
-    x2, y2, z2 = x * x, y * y, z * z
-    return np.array([
-        x2 * x, x2 * y, x2 * z, x * y2, x * y * z, x * z2,
-        y2 * y, y2 * z, y * z2, z2 * z,
-        x2, x * y, x * z, y2, y * z, z2, x, y, z, 1.0,
-    ])
+def trivariate_gradient(states: np.ndarray) -> np.ndarray:
+    """Partial derivatives of the trivariate degree-3 basis at states (m, 3).
 
-
-def trivariate_gradient(x, y, z) -> np.ndarray:
-    """Partial derivatives of the trivariate degree-3 basis.
-
-    Shape (20, 3) at a point; (20, 3, m) for coordinate arrays of shape (m,).
+    Returns shape (m, 20, 3), rows ordered as TRIVARIATE.exps3.
     """
+    x, y, z = states[:, 0], states[:, 1], states[:, 2]
     x2, y2, z2 = x * x, y * y, z * z
-    o, i = (0.0, 1.0) if np.ndim(x) == 0 else (np.zeros_like(x), np.ones_like(x))
-    return np.array([
-        [3 * x2, o, o], [2 * x * y, x2, o], [2 * x * z, o, x2],
-        [y2, 2 * x * y, o], [y * z, x * z, x * y], [z2, o, 2 * x * z],
-        [o, 3 * y2, o], [o, 2 * y * z, y2], [o, z2, 2 * y * z],
-        [o, o, 3 * z2],
-        [2 * x, o, o], [y, x, o], [z, o, x], [o, 2 * y, o],
-        [o, z, y], [o, o, 2 * z],
-        [i, o, o], [o, i, o], [o, o, i], [o, o, o],
-    ])
+    dxy, dxz, dyz = 2 * x * y, 2 * x * z, 2 * y * z
+    out = np.zeros((states.shape[0], 20, 3))
+    for row, col, value in ((0, 0, 3 * x2), (1, 0, dxy), (1, 1, x2), (2, 0, dxz), (2, 2, x2),
+                            (3, 0, y2), (3, 1, dxy), (4, 0, y * z), (4, 1, x * z), (4, 2, x * y),
+                            (5, 0, z2), (5, 2, dxz), (6, 1, 3 * y2), (7, 1, dyz), (7, 2, y2),
+                            (8, 1, z2), (8, 2, dyz), (9, 2, 3 * z2), (10, 0, 2 * x), (11, 0, y),
+                            (11, 1, x), (12, 0, z), (12, 2, x), (13, 1, 2 * y), (14, 1, z),
+                            (14, 2, y), (15, 2, 2 * z)):
+        out[:, row, col] = value
+    out[:, 16:19] = np.eye(3)
+    return out
 
 
 def polymat_from_basis(mats) -> np.ndarray:

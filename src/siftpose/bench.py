@@ -199,8 +199,11 @@ def run_speedup_experiment(trials: int, inlier_ratios, seed: int, out_path,
                            solvers=SPEEDUP_SOLVERS, sigma: float = 0.5,
                            n_correspondences: int = 200,
                            ransac_config: RansacConfig | None = None,
-                           workers=None) -> list[dict]:
-    """Mean models-scored and wall time per solver at each planted inlier ratio."""
+                           fixed_clock: bool = False, workers=None) -> list[dict]:
+    """Mean models-scored and wall time per solver at each planted inlier ratio.
+
+    fixed_clock reports every wall time as zero, for reproducible output.
+    """
     base_config = ransac_config or RansacConfig()
     tasks = [(seed, r_idx, float(ratio), trial, tuple(solvers), sigma,
               n_correspondences, base_config)
@@ -217,7 +220,7 @@ def run_speedup_experiment(trials: int, inlier_ratios, seed: int, out_path,
             records.append({
                 "inlier_ratio": float(ratio), "solver": solver_id,
                 "mean_models_scored": float(np.mean(scored)),
-                "mean_wall_ms": float(np.mean(wall)) * 1000.0,
+                "mean_wall_ms": 0.0 if fixed_clock else float(np.mean(wall)) * 1000.0,
                 "mean_iterations": float(np.mean([b[col][2] for b in block])),
                 "trials": per_point,
             })

@@ -204,18 +204,9 @@ def cmd_bench_synthetic(args) -> int:
         bench.run_noise_experiment(args.trials, sigmas, args.seed,
                                    os.path.join(args.out_dir, "noise.csv"))
     else:
-        records = bench.run_speedup_experiment(
-            args.trials, [args.inlier_ratio], args.seed,
-            os.path.join(args.out_dir, "ransac_speedup.csv"))
-        if args.fixed_clock:
-            with open(os.path.join(args.out_dir, "ransac_speedup.csv"), "w") as handle:
-                handle.write("inlier_ratio,solver,mean_models_scored,mean_wall_ms,"
-                             "mean_iterations,trials\n")
-                for rec in records:
-                    handle.write("%.17g,%s,%.17g,0,%.17g,%d\n"
-                                 % (rec["inlier_ratio"], rec["solver"],
-                                    rec["mean_models_scored"], rec["mean_iterations"],
-                                    rec["trials"]))
+        bench.run_speedup_experiment(args.trials, [args.inlier_ratio], args.seed,
+                                     os.path.join(args.out_dir, "ransac_speedup.csv"),
+                                     fixed_clock=args.fixed_clock)
     return 0
 
 

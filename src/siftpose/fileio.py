@@ -65,6 +65,8 @@ def read_correspondences(path) -> np.ndarray:
                 values = [float(p) for p in parts]
             except ValueError:
                 raise ParseError("non-numeric token", path=str(path), line=lineno) from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError("non-finite value", path=str(path), line=lineno)
             rows.append(values)
     if units is None:
         raise ParseError("missing '# units=rad|deg' header", path=str(path))

@@ -21,17 +21,21 @@ import numpy as np
 
 from .constraints import epipolar_rows, sift_rows
 from .errors import SolverError
-from .geometry import CameraIntrinsics, EssentialMatrix, FundamentalMatrix
+from .geometry import EssentialMatrix, FundamentalMatrix, normalize_pairs
 from .solvers import (
     FocalModel,
-    _rank2_candidates,
+    _apply_similarity,
+    _intrinsics,
+    _semicalibrated_setup,
+    _similarity,
     _solve_semicalibrated_rows,
+    _transform_sift,
     as_sift_array,
     essential_candidates_batch,
-    essential_candidates_from_rows,
     essential_single_from_rows,
     normalize_sift_correspondences,
     rank2_candidates_batch,
+    solve_f_8pt,
     solver_info,
 )
 
@@ -137,15 +141,6 @@ class _DegeneracyIndex:
         self.pairs = pairs
         self.check_collinear = check_collinear
 
-    def __call__(self, idx: np.ndarray) -> bool:
-        grid = np.ix_(idx, idx)
-        if self.d1[grid].min() < 1.0 or self.d2[grid].min() < 1.0:
-            return True
-        if self.check_collinear:
-            if _collinear(self.pairs[idx, 0:2]) or _collinear(self.pairs[idx, 2:4]):
-                return True
-        return False
-
     def block(self, draws: np.ndarray) -> np.ndarray:
         """Vectorized usability mask over a block of index sets (B, m)."""
         rows = draws[:, :, None]
@@ -204,18 +199,7 @@ def _common_scale_similarity(points1: np.ndarray, points2: np.ndarray):
     spread = 0.5 * (np.mean(np.linalg.norm(points1 - c1, axis=1))
                     + np.mean(np.linalg.norm(points2 - c2, axis=1)))
     s = math.sqrt(2.0) / spread if spread > 1e-12 else 1.0
-    t1 = np.array([[s, 0.0, -s * c1[0]], [0.0, s, -s * c1[1]], [0.0, 0.0, 1.0]])
-    t2 = np.array([[s, 0.0, -s * c2[0]], [0.0, s, -s * c2[1]], [0.0, 0.0, 1.0]])
-    return t1, t2, s
-
-
-def _transform_corr(corr: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    out = corr.copy()
-    out[:, 0:2] = corr[:, 0:2] @ t1[:2, :2].T + t1[:2, 2]
-    out[:, 4:6] = corr[:, 4:6] @ t2[:2, :2].T + t2[:2, 2]
-    out[:, 2] = corr[:, 2] * t1[0, 0]
-    out[:, 6] = corr[:, 6] * t2[0, 0]
-    return out
+    return _similarity(c1, s), _similarity(c2, s), s
 
 
 def _as_matrix(model) -> np.ndarray:
@@ -231,7 +215,83 @@ def _as_matrix(model) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _EpipolarProblem:
-    """Scoring shared by the adapters: symmetric epipolar error on `pairs`."""
+    """Set-up, sample rows and scoring shared by the adapters.
+
+    A subclass names its solver `family` and `min_lo_inliers`, and owns its
+    frame: `_frame` fixes the preconditioning from the pixel point pairs and
+    sets `threshold_factor` (frame units per pixel of epipolar error), and
+    `_local_sift`/`_local_pairs` carry packed correspondences/point pairs
+    into the frame. The default frame is the similarity pair (t1, t2).
+    Scoring is the symmetric epipolar error on the frame's `pairs`.
+    """
+
+    family: str
+    min_lo_inliers: int
+
+    def __init__(self, corr, solver_id: str):
+        info = solver_info(solver_id)
+        if info.family != self.family:
+            raise ValueError(f"{solver_id} is not a solver of the '{self.family}' family")
+        corr = as_sift_array(corr)
+        bad = int(np.count_nonzero(~np.isfinite(corr).all(axis=1)))
+        if bad:
+            raise ValueError(f"{bad} of {corr.shape[0]} correspondences hold non-finite values")
+        has_features = corr.shape[1] == 8
+        if info.uses_orientation and not has_features:
+            raise ValueError(f"{solver_id} needs orientation/scale columns")
+        pixel_pairs = corr[:, [0, 1, 4, 5]] if has_features else corr[:, :4]
+        self._frame(pixel_pairs)
+        self.feature_rows = None
+        if has_features:
+            local = self._local_sift(corr)
+            self.pairs = local[:, [0, 1, 4, 5]]
+            if info.uses_orientation:
+                self.feature_rows = sift_rows(local)
+        else:
+            self.pairs = self._local_pairs(pixel_pairs)
+        self.point_rows = epipolar_rows(self.pairs)
+        ones = np.ones((self.pairs.shape[0], 1))
+        self.p1h = np.hstack([self.pairs[:, :2], ones])
+        self.p2h = np.hstack([self.pairs[:, 2:4], ones])
+        self.solver_id = solver_id
+        self.sample_size = info.sample_size
+        # collinear samples are degenerate only for the uncalibrated families
+        self.sample_degenerate = _DegeneracyIndex(pixel_pairs, self.family != "e")
+
+    def _local_sift(self, corr: np.ndarray) -> np.ndarray:
+        return _transform_sift(corr, self.t1, self.t2)
+
+    def _local_pairs(self, pairs: np.ndarray) -> np.ndarray:
+        return np.hstack([_apply_similarity(pairs[:, :2], self.t1),
+                          _apply_similarity(pairs[:, 2:4], self.t2)])
+
+    def _sample_rows(self, idx_block: np.ndarray) -> np.ndarray:
+        """Constraint rows (B, r, 9) of index sets (B, m), in the solver core's layout.
+
+        f4sift appends the feature rows of the first three correspondences
+        to the four point rows, e3sift and ff3sift interleave point and
+        feature rows, and the point solvers take point rows only.
+        """
+        points = self.point_rows[idx_block]
+        if self.feature_rows is None:
+            return points
+        if self.solver_id == "f4sift":
+            return np.concatenate([points, self.feature_rows[idx_block[:, :3]]], axis=1)
+        rows = np.empty((idx_block.shape[0], 2 * idx_block.shape[1], 9))
+        rows[:, 0::2] = points
+        rows[:, 1::2] = self.feature_rows[idx_block]
+        return rows
+
+    @staticmethod
+    def _solve_each(rows: np.ndarray, solve) -> list:
+        """Models of each sample from a per-sample core; a refused sample has none."""
+        out = []
+        for sample_rows in rows:
+            try:
+                out.append(solve(sample_rows))
+            except (SolverError, ValueError):
+                out.append([])
+        return out
 
     @property
     def size(self) -> int:
@@ -253,58 +313,22 @@ class FundamentalProblem(_EpipolarProblem):
     pixel coordinates only when the report is finalized.
     """
 
-    def __init__(self, corr, solver_id: str = "f4sift"):
-        info = solver_info(solver_id)
-        if info.family != "f":
-            raise ValueError("not a fundamental-matrix solver")
-        self.corr = as_sift_array(corr)
-        has_features = self.corr.shape[1] == 8
-        if solver_id == "f4sift" and not has_features:
-            raise ValueError("f4sift needs orientation/scale columns")
-        pixel_pairs = self.corr[:, [0, 1, 4, 5]] if has_features else self.corr[:, :4]
-        self.degeneracy_pairs = pixel_pairs
-        self.t1, self.t2, scale = _common_scale_similarity(pixel_pairs[:, :2],
-                                                           pixel_pairs[:, 2:4])
-        if has_features:
-            self.local = _transform_corr(self.corr, self.t1, self.t2)
-            self.pairs = self.local[:, [0, 1, 4, 5]]
-            self.feature_rows = sift_rows(self.local)
-        else:
-            self.pairs = np.hstack([
-                pixel_pairs[:, :2] @ self.t1[:2, :2].T + self.t1[:2, 2],
-                pixel_pairs[:, 2:4] @ self.t2[:2, :2].T + self.t2[:2, 2]])
-            self.feature_rows = None
-        self.point_rows = epipolar_rows(self.pairs)
-        self.p1h = np.hstack([self.pairs[:, :2], np.ones((self.pairs.shape[0], 1))])
-        self.p2h = np.hstack([self.pairs[:, 2:4], np.ones((self.pairs.shape[0], 1))])
-        self.solver_id = solver_id
-        self.sample_size = info.sample_size
-        self.min_lo_inliers = 8
-        self.threshold_factor = scale
-        self.check_collinear = True
-        self.sample_degenerate = _DegeneracyIndex(self.degeneracy_pairs, True)
+    family = "f"
+    min_lo_inliers = 8
 
-    def solve_minimal(self, idx):
-        if self.solver_id == "f4sift":
-            rows = np.vstack([self.point_rows[idx], self.feature_rows[idx[:3]]])
-        else:
-            rows = self.point_rows[idx]
-        mats, _ = _rank2_candidates(rows)
-        return mats
+    def __init__(self, corr, solver_id: str = "f4sift"):
+        super().__init__(corr, solver_id)
+
+    def _frame(self, pixel_pairs):
+        self.t1, self.t2, self.threshold_factor = _common_scale_similarity(
+            pixel_pairs[:, :2], pixel_pairs[:, 2:4])
 
     def solve_minimal_batch(self, idx_block: np.ndarray):
-        if self.solver_id == "f4sift":
-            rows = np.concatenate([self.point_rows[idx_block],
-                                   self.feature_rows[idx_block[:, :3]]], axis=1)
-        else:
-            rows = self.point_rows[idx_block]
-        return rank2_candidates_batch(rows)
+        return rank2_candidates_batch(self._sample_rows(idx_block))
 
     def refit(self, model, inlier_idx):
         if inlier_idx.shape[0] < self.min_lo_inliers:
             return None
-        from .solvers import solve_f_8pt
-
         return solve_f_8pt(self.pairs[inlier_idx]).m
 
     def finalize(self, model):
@@ -318,56 +342,28 @@ class EssentialProblem(_EpipolarProblem):
     all errors are evaluated on normalized point coordinates.
     """
 
+    family = "e"
+    min_lo_inliers = 6
+
     def __init__(self, corr, k1, k2, solver_id: str = "e3sift"):
-        info = solver_info(solver_id)
-        if info.family != "e":
-            raise ValueError("not an essential-matrix solver")
-        self.k1 = k1 if isinstance(k1, CameraIntrinsics) else CameraIntrinsics.from_matrix(k1)
-        self.k2 = k2 if isinstance(k2, CameraIntrinsics) else CameraIntrinsics.from_matrix(k2)
-        self.corr = as_sift_array(corr)
-        has_features = self.corr.shape[1] == 8
-        if solver_id == "e3sift" and not has_features:
-            raise ValueError("e3sift needs orientation/scale columns")
-        self.degeneracy_pairs = (self.corr[:, [0, 1, 4, 5]] if has_features
-                                 else self.corr[:, :4])
-        if has_features:
-            self.local = normalize_sift_correspondences(self.corr, self.k1, self.k2)
-            self.pairs = self.local[:, [0, 1, 4, 5]]
-            self.feature_rows = sift_rows(self.local)
-        else:
-            from .geometry import normalize_pairs
+        self.k1 = _intrinsics(k1)
+        self.k2 = _intrinsics(k2)
+        super().__init__(corr, solver_id)
 
-            self.pairs = normalize_pairs(self.degeneracy_pairs, self.k1, self.k2)
-            self.feature_rows = None
-        self.point_rows = epipolar_rows(self.pairs)
-        self.p1h = np.hstack([self.pairs[:, :2], np.ones((self.pairs.shape[0], 1))])
-        self.p2h = np.hstack([self.pairs[:, 2:4], np.ones((self.pairs.shape[0], 1))])
-        self.solver_id = solver_id
-        self.sample_size = info.sample_size
-        self.min_lo_inliers = 6
+    def _frame(self, pixel_pairs):
         self.threshold_factor = 4.0 / (self.k1.fx + self.k1.fy + self.k2.fx + self.k2.fy)
-        self.check_collinear = False
-        self.sample_degenerate = _DegeneracyIndex(self.degeneracy_pairs, False)
 
-    def solve_minimal(self, idx):
-        if self.solver_id == "e3sift":
-            rows = np.empty((6, 9))
-            rows[0::2] = self.point_rows[idx]
-            rows[1::2] = self.feature_rows[idx]
-            raw, _ = essential_single_from_rows(rows)
-            return [raw]
-        return [e for e, _ in essential_candidates_from_rows(self.point_rows[idx])]
+    def _local_sift(self, corr):
+        return normalize_sift_correspondences(corr, self.k1, self.k2)
+
+    def _local_pairs(self, pairs):
+        return normalize_pairs(pairs, self.k1, self.k2)
 
     def solve_minimal_batch(self, idx_block: np.ndarray):
+        rows = self._sample_rows(idx_block)
         if self.solver_id == "e5pt":
-            return essential_candidates_batch(self.point_rows[idx_block])
-        out = []
-        for idx in idx_block:
-            try:
-                out.append(self.solve_minimal(idx))
-            except (SolverError, ValueError):
-                out.append([])
-        return out
+            return essential_candidates_batch(rows)[0]
+        return self._solve_each(rows, lambda sample: [essential_single_from_rows(sample)[0]])
 
     def refit(self, model, inlier_idx):
         # raw least-squares fit; scoring keeps the raw output and the manifold
@@ -376,8 +372,6 @@ class EssentialProblem(_EpipolarProblem):
         if inlier_idx.shape[0] < self.min_lo_inliers:
             return None
         if inlier_idx.shape[0] >= 8:
-            from .solvers import solve_f_8pt
-
             return solve_f_8pt(self.pairs[inlier_idx]).m
         _, _, vt = np.linalg.svd(self.point_rows[inlier_idx])
         return vt[-1].reshape(3, 3)
@@ -389,75 +383,36 @@ class EssentialProblem(_EpipolarProblem):
 class FocalProblem(_EpipolarProblem):
     """Semi-calibrated estimation; ff3sift or ff6pt plug-in.
 
-    Local optimization refits the fundamental matrix on the inliers while the
-    focal length of the refined model's seed is held fixed. Models travel as
-    (matrix, focal) pairs in the shifted/scaled frame until finalized.
+    Models travel as (matrix, focal) pairs in a frame centred on the shared
+    principal point until finalized. There is no non-minimal semi-calibrated
+    solver to refit with, so local optimization keeps the minimal models: an
+    8-point F paired with its seed's focal length is not a consistent model.
     """
 
-    def __init__(self, corr, principal_point, solver_id: str = "ff3sift"):
-        info = solver_info(solver_id)
-        if info.family != "ff":
-            raise ValueError("not a semi-calibrated solver")
-        self.corr = as_sift_array(corr)
-        has_features = self.corr.shape[1] == 8
-        if solver_id == "ff3sift" and not has_features:
-            raise ValueError("ff3sift needs orientation/scale columns")
-        pixel_pairs = self.corr[:, [0, 1, 4, 5]] if has_features else self.corr[:, :4]
-        self.degeneracy_pairs = pixel_pairs
-        pp = np.asarray(principal_point, dtype=float).reshape(2)
-        shifted = np.vstack([pixel_pairs[:, :2] - pp, pixel_pairs[:, 2:4] - pp])
-        spread = np.mean(np.linalg.norm(shifted, axis=1))
-        s = 1.0 / spread if spread > 1e-12 else 1.0
-        self.scale = s
-        self.t = np.array([[s, 0.0, -s * pp[0]], [0.0, s, -s * pp[1]], [0.0, 0.0, 1.0]])
-        if has_features:
-            self.local = _transform_corr(self.corr, self.t, self.t)
-            self.pairs = self.local[:, [0, 1, 4, 5]]
-            self.feature_rows = sift_rows(self.local)
-        else:
-            self.pairs = np.hstack([
-                pixel_pairs[:, :2] @ self.t[:2, :2].T + self.t[:2, 2],
-                pixel_pairs[:, 2:4] @ self.t[:2, :2].T + self.t[:2, 2]])
-            self.feature_rows = None
-        self.point_rows = epipolar_rows(self.pairs)
-        self.p1h = np.hstack([self.pairs[:, :2], np.ones((self.pairs.shape[0], 1))])
-        self.p2h = np.hstack([self.pairs[:, 2:4], np.ones((self.pairs.shape[0], 1))])
-        self.solver_id = solver_id
-        self.sample_size = info.sample_size
-        self.min_lo_inliers = 8
-        self.threshold_factor = s
-        self.check_collinear = True
-        self.sample_degenerate = _DegeneracyIndex(self.degeneracy_pairs, True)
+    family = "ff"
+    min_lo_inliers = 8
 
-    def solve_minimal(self, idx):
-        if self.solver_id == "ff3sift":
-            rows = np.empty((6, 9))
-            rows[0::2] = self.point_rows[idx]
-            rows[1::2] = self.feature_rows[idx]
-        else:
-            rows = self.point_rows[idx]
-        return [(f, focal) for f, focal, _ in _solve_semicalibrated_rows(rows)]
+    def __init__(self, corr, principal_point, solver_id: str = "ff3sift"):
+        self.principal_point = principal_point
+        super().__init__(corr, solver_id)
+
+    def _frame(self, pixel_pairs):
+        t, self.threshold_factor = _semicalibrated_setup(
+            pixel_pairs[:, :2], pixel_pairs[:, 2:4], self.principal_point)
+        self.t1 = self.t2 = t
 
     def solve_minimal_batch(self, idx_block: np.ndarray):
-        out = []
-        for idx in idx_block:
-            try:
-                out.append(self.solve_minimal(idx))
-            except (SolverError, ValueError):
-                out.append([])
-        return out
+        return self._solve_each(
+            self._sample_rows(idx_block),
+            lambda rows: [(f, focal) for f, focal, _ in _solve_semicalibrated_rows(rows)])
 
     def refit(self, model, inlier_idx):
-        if inlier_idx.shape[0] < self.min_lo_inliers:
-            return None
-        from .solvers import solve_f_8pt
-
-        return solve_f_8pt(self.pairs[inlier_idx]).m, model[1]
+        return None
 
     def finalize(self, model):
         mat, focal = model
-        fundamental = FundamentalMatrix.from_array(self.t.T @ mat @ self.t)
-        return FocalModel(fundamental, focal / self.scale)
+        fundamental = FundamentalMatrix.from_array(self.t1.T @ mat @ self.t1)
+        return FocalModel(fundamental, focal / self.threshold_factor)
 
 
 def make_problem(solver_id: str, corr, k1=None, k2=None, principal_point=None):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _poly
-from .constraints import CoefficientSystem, epipolar_rows, sift_rows
+from .constraints import epipolar_rows, sift_rows
 from .errors import (
     DegenerateSampleError,
     IllConditionedSampleError,
@@ -26,7 +26,7 @@ from .geometry import (
     EssentialMatrix,
     FundamentalMatrix,
     SiftCorrespondence,
-    wrap_angle,
+    normalize_pairs,
 )
 
 DEGENERACY_RTOL = 1e-12
@@ -116,20 +116,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _adjugate3(m: np.ndarray) -> np.ndarray:
-    return np.array([
-        [m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1],
-         m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2],
-         m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]],
-        [m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2],
-         m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0],
-         m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2]],
-        [m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0],
-         m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1],
-         m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]],
-    ])
-
-
 def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     """Real roots of c3 x^3 + c2 x^2 + c1 x + c0 (closed form plus one Newton step)."""
     coeffs = np.array([c3, c2, c1, c0], dtype=float)
@@ -189,17 +175,25 @@ def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     return unique
 
 
+def _similarity(center, scale: float) -> np.ndarray:
+    """The isotropic preconditioning similarity x -> scale * (x - center), as 3x3.
+
+    Hartley, "In defense of the eight-point algorithm" (TPAMI 1997); callers
+    differ only in how they pick the centre and the scale.
+    """
+    return np.array([
+        [scale, 0.0, -scale * center[0]],
+        [0.0, scale, -scale * center[1]],
+        [0.0, 0.0, 1.0],
+    ])
+
+
 def _hartley_similarity(points: np.ndarray) -> np.ndarray:
     """Similarity sending the centroid to the origin and mean radius to sqrt(2)."""
     points = np.asarray(points, dtype=float)
     centroid = points.mean(axis=0)
     spread = np.mean(np.linalg.norm(points - centroid, axis=1))
-    s = math.sqrt(2.0) / spread if spread > 1e-12 else 1.0
-    return np.array([
-        [s, 0.0, -s * centroid[0]],
-        [0.0, s, -s * centroid[1]],
-        [0.0, 0.0, 1.0],
-    ])
+    return _similarity(centroid, math.sqrt(2.0) / spread if spread > 1e-12 else 1.0)
 
 
 def _apply_similarity(points: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -214,38 +208,6 @@ def _transform_sift(corr: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndar
     out[:, 2] = corr[:, 2] * t1[0, 0]
     out[:, 6] = corr[:, 6] * t2[0, 0]
     return out
-
-
-def _gauss_newton(residual_jac, x0: np.ndarray, iterations: int = 4) -> np.ndarray:
-    """Damped Gauss-Newton: full steps first, halved while the residual grows.
-
-    residual_jac(x, need_jac) returns (residual, jacobian-or-None); the
-    jacobian is only requested at accepted points.
-    """
-    x = np.asarray(x0, dtype=float)
-    r, jac = residual_jac(x, True)
-    size = np.linalg.norm(r)
-    for _ in range(iterations):
-        if size < 1e-15:
-            break
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        if not np.all(np.isfinite(step)):
-            break
-        scale = 1.0
-        for k in range(6):
-            trial = x + scale * step
-            r_new, jac_new = residual_jac(trial, k == 0)
-            size_new = np.linalg.norm(r_new)
-            if size_new <= size or size_new < 1e-14:
-                x, r, size = trial, r_new, size_new
-                jac = jac_new if jac_new is not None else residual_jac(x, True)[1]
-                break
-            scale *= 0.5
-        else:
-            break
-        if np.linalg.norm(scale * step) < 1e-15 * (1.0 + np.linalg.norm(x)):
-            break
-    return x
 
 
 def _trace_det_residual(e: np.ndarray) -> np.ndarray:
@@ -326,15 +288,17 @@ def _batched_adjugate(m: np.ndarray) -> np.ndarray:
 
 
 def rank2_candidates_batch(rows: np.ndarray) -> list:
-    """Vectorized form of the two-dimensional null-space cubic over samples.
+    """All rank-2 matrices in the two-dimensional null space of each 7x9 system.
 
     rows has shape (batch, 7, 9). Returns one list of raw 3x3 matrices per
-    sample (empty where the sample is degenerate). Matches the per-sample
-    solver output up to roundoff.
+    sample. A list is empty where the sample does not determine the model:
+    the system is rank-deficient (all-zero rows included), every pencil
+    member is rank-deficient (a dominant-plane sample), or the rank-2 cubic
+    has no real root.
     """
     rows = np.asarray(rows, dtype=float)
     _, s, vt = np.linalg.svd(rows)
-    good = s[:, 6] >= DEGENERACY_RTOL * s[:, 0]
+    good = (s[:, 0] > 0.0) & (s[:, 6] >= DEGENERACY_RTOL * s[:, 0])
     f1 = vt[:, 7].reshape(-1, 3, 3)
     f2 = vt[:, 8].reshape(-1, 3, 3)
     a, b = f2, f1 - f2
@@ -355,17 +319,21 @@ def rank2_candidates_batch(rows: np.ndarray) -> list:
     return out
 
 
-def essential_candidates_batch(rows: np.ndarray) -> list:
-    """Vectorized five-point core over samples: rows has shape (batch, 5, 9).
+def essential_candidates_batch(rows: np.ndarray) -> tuple[list, np.ndarray]:
+    """Five-point core over samples: rows has shape (batch, 5, 9).
 
-    Returns one list of raw essential matrices per sample, matching the
-    per-sample solver up to root ordering.
+    The four-dimensional null space combination feeds the ten trace and
+    determinant equations; an action matrix over the degree-two quotient
+    basis yields the candidate roots, refined by damped Gauss-Newton.
+    Returns (models, solvable): one list of raw essential matrices per
+    sample, and a mask that is False where the system is rank-deficient or
+    its leading monomial block is singular. A solvable sample may still
+    keep no candidate.
     """
     rows = np.asarray(rows, dtype=float)
     batch = rows.shape[0]
     _, s, vt = np.linalg.svd(rows)
-    good = s[:, 4] >= DEGENERACY_RTOL * s[:, 0]
-    # trailing singular vectors in the same order as the per-sample solver
+    good = (s[:, 0] > 0.0) & (s[:, 4] >= DEGENERACY_RTOL * s[:, 0])
     pencil = vt[:, 5:9].reshape(batch, 4, 3, 3)
 
     system = _poly.essential_constraint_system(pencil, _poly.TRIVARIATE)
@@ -382,6 +350,8 @@ def essential_candidates_batch(rows: np.ndarray) -> list:
                 solvable[i] = False
 
     action = np.zeros((batch, 10, 10))
+    # multiplication by z maps the quotient basis [x2 xy xz y2 yz z2 x y z 1]
+    # through the reduced rows of the cubic leading monomials
     for row, lead_idx in enumerate((2, 4, 5, 7, 8, 9)):
         action[:, row] = -reduced[:, lead_idx]
     action[:, 6, 2] = 1.0
@@ -421,7 +391,7 @@ def essential_candidates_batch(rows: np.ndarray) -> list:
         per_sample: dict = {}
         for k, i in enumerate(owners):
             x = states[k]
-            scale = (x @ x + 1.0) ** 1.5
+            scale = (x @ x + 1.0) ** 1.5  # orthonormal basis: ||E|| = sqrt(|x|^2 + 1)
             if residuals[k] / scale > 1e-6:
                 continue
             kept = per_sample.setdefault(i, [])
@@ -430,21 +400,27 @@ def essential_candidates_batch(rows: np.ndarray) -> list:
                 continue
             kept.append(x)
             results[i].append(np.einsum("k,kij->ij", np.append(x, 1.0), pencil[i]))
-    return results
+    return results, solvable
 
 
 def _trivariate_monomials_batch(states: np.ndarray) -> np.ndarray:
+    """The trivariate degree-3 basis at states (m, 3), ordered as TRIVARIATE.exps3."""
     x, y, z = states[:, 0], states[:, 1], states[:, 2]
     x2, y2, z2 = x * x, y * y, z * z
-    return np.stack([
-        x2 * x, x2 * y, x2 * z, x * y2, x * y * z, x * z2,
-        y2 * y, y2 * z, y * z2, z2 * z,
-        x2, x * y, x * z, y2, y * z, z2, x, y, z, np.ones_like(x),
-    ], axis=1)
-
-
-def _trivariate_gradient_batch(states: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.moveaxis(_poly.trivariate_gradient(*states.T), -1, 0))
+    out = np.empty((states.shape[0], 20))
+    out[:, 0:3] = x2[:, None] * states
+    out[:, 3] = x * y2
+    out[:, 4] = x * y * z
+    out[:, 5] = x * z2
+    out[:, 6:8] = y2[:, None] * states[:, 1:]
+    out[:, 8] = y * z2
+    out[:, 9] = z2 * z
+    out[:, 10:13] = x[:, None] * states
+    out[:, 13] = y2
+    out[:, 14:16] = z[:, None] * states[:, 1:]
+    out[:, 16:19] = states
+    out[:, 19] = 1.0
+    return out
 
 
 def _polish_trivariate_batch(systems: np.ndarray, states: np.ndarray,
@@ -457,7 +433,7 @@ def _polish_trivariate_batch(systems: np.ndarray, states: np.ndarray,
         active = size > 1e-28
         if not np.any(active):
             break
-        jac = np.einsum("mij,mjk->mik", systems, _trivariate_gradient_batch(states))
+        jac = np.einsum("mij,mjk->mik", systems, _poly.trivariate_gradient(states))
         jtj = np.einsum("mik,mil->mkl", jac, jac)
         jtr = np.einsum("mik,mi->mk", jac, r)
         jtj += 1e-300 * np.eye(3)
@@ -488,23 +464,21 @@ def _polish_trivariate_batch(systems: np.ndarray, states: np.ndarray,
 # Fundamental matrix solvers
 # ---------------------------------------------------------------------------
 
-def _rank2_candidates(rows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """All rank-2 matrices in the two-dimensional null space of a 7x9 system."""
-    basis, svals = nullspace(rows, 2)
-    f1 = basis[0].reshape(3, 3)
-    f2 = basis[1].reshape(3, 3)
-    a, b = f2, f1 - f2
-    c0 = float(np.linalg.det(a))
-    c1 = float(np.trace(_adjugate3(a) @ b))
-    c2 = float(np.trace(_adjugate3(b) @ a))
-    c3 = float(np.linalg.det(b))
-    if max(abs(c0), abs(c1), abs(c2), abs(c3)) < 1e-10:
-        # every pencil member is rank-deficient: a dominant-plane sample
-        raise DegenerateSampleError("rank-2 condition is vacuous on this sample")
-    roots = real_cubic_roots(c3, c2, c1, c0)
-    if not roots:
-        raise DegenerateSampleError("rank-2 condition has no real solution on this sample")
-    return [a + mu * b for mu in roots], svals
+def _hartley_pairs(pairs: np.ndarray):
+    """Point pairs carried into per-image Hartley frames, plus the two similarities."""
+    t1 = _hartley_similarity(pairs[:, :2])
+    t2 = _hartley_similarity(pairs[:, 2:4])
+    return np.hstack([_apply_similarity(pairs[:, :2], t1),
+                      _apply_similarity(pairs[:, 2:4], t2)]), t1, t2
+
+
+def _rank2_models(rows: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> list:
+    """Pixel fundamental matrices from one 7x9 system in the (t1, t2) frames."""
+    mats = rank2_candidates_batch(rows[None])[0]
+    if not mats:
+        raise DegenerateSampleError("sample does not determine a rank-2 model: rank-deficient "
+                                    "system, vacuous rank-2 condition or no real root")
+    return [FundamentalMatrix.from_array(t2.T @ m @ t1) for m in mats]
 
 
 def solve_f_7pt(pairs) -> SolverOutput:
@@ -512,13 +486,8 @@ def solve_f_7pt(pairs) -> SolverOutput:
     pairs = as_pair_array(pairs)
     if pairs.shape[0] != 7:
         raise ValueError("the seven-point solver needs exactly 7 correspondences")
-    t1 = _hartley_similarity(pairs[:, :2])
-    t2 = _hartley_similarity(pairs[:, 2:4])
-    local = np.hstack([_apply_similarity(pairs[:, :2], t1),
-                       _apply_similarity(pairs[:, 2:4], t2)])
-    rows = epipolar_rows(local)
-    mats, _ = _rank2_candidates(rows)
-    models = [FundamentalMatrix.from_array(t2.T @ m @ t1) for m in mats]
+    local, t1, t2 = _hartley_pairs(pairs)
+    models = _rank2_models(epipolar_rows(local), t1, t2)
     pixel_rows = epipolar_rows(pairs)
     return SolverOutput(models=models, null_space_dim=2,
                         row_residuals=[_system_residuals(pixel_rows, f.m) for f in models])
@@ -555,8 +524,7 @@ def solve_f_4sift(corr, use_best_conditioned: bool = False) -> SolverOutput:
     else:
         rows = np.vstack([point_rows, feature_rows[:3]])
 
-    mats, _ = _rank2_candidates(rows)
-    models = [FundamentalMatrix.from_array(t2.T @ m @ t1) for m in mats]
+    models = _rank2_models(rows, t1, t2)
     pixel_rows = np.vstack([epipolar_rows(corr[:, [0, 1, 4, 5]]), sift_rows(corr)[:3]])
     return SolverOutput(models=models, null_space_dim=2,
                         row_residuals=[_system_residuals(pixel_rows, f.m) for f in models])
@@ -567,12 +535,10 @@ def solve_f_8pt(pairs) -> FundamentalMatrix:
     pairs = as_pair_array(pairs)
     if pairs.shape[0] < 8:
         raise ValueError("at least 8 correspondences are required")
-    t1 = _hartley_similarity(pairs[:, :2])
-    t2 = _hartley_similarity(pairs[:, 2:4])
-    local = np.hstack([_apply_similarity(pairs[:, :2], t1),
-                       _apply_similarity(pairs[:, 2:4], t2)])
+    local, t1, t2 = _hartley_pairs(pairs)
     rows = epipolar_rows(local)
-    _, s, vt = np.linalg.svd(rows)
+    # vt needs all nine rows, which the reduced SVD of an 8x9 system lacks
+    _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < 9)
     if s[7] < 1e-10 * s[0]:
         raise DegenerateSampleError("design matrix rank-deficient (collinear or repeated points)")
     f = vt[-1].reshape(3, 3)
@@ -685,83 +651,19 @@ def solve_e_3sift(corr, k1, k2) -> SolverOutput:
                         row_residuals=[_system_residuals(rows, e.m)], extras=extras)
 
 
-def essential_candidates_from_rows(rows: np.ndarray):
-    """Core of the five-point solver: raw essential matrices from a 5x9 system.
-
-    The four-dimensional null space combination feeds the ten trace and
-    determinant equations; an action matrix over the degree-two quotient
-    basis yields the candidate roots, refined by damped Gauss-Newton.
-    Returns a list of (raw 3x3 matrix, residual) sorted by residual.
-    """
-    basis, _ = nullspace(rows, 4)
-    pencil = [basis[i].reshape(3, 3) for i in range(4)]
-
-    system = _poly.essential_constraint_system(pencil, _poly.TRIVARIATE)
-    lead, rest = system[:, :10], system[:, 10:]
-    try:
-        reduced = np.linalg.solve(lead, rest)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSampleError("leading monomial block is singular") from exc
-
-    action = np.zeros((10, 10))
-    # multiplication by z maps the quotient basis [x2 xy xz y2 yz z2 x y z 1]
-    # through the reduced rows of the cubic leading monomials
-    for row, lead_idx in enumerate((2, 4, 5, 7, 8, 9)):
-        action[row] = -reduced[lead_idx]
-    action[6, 2] = 1.0
-    action[7, 4] = 1.0
-    action[8, 5] = 1.0
-    action[9, 8] = 1.0
-
-    eigvals, eigvecs = np.linalg.eig(action)
-    candidates = []
-    for i in range(10):
-        if abs(eigvals[i].imag) > 1e-6 * max(1.0, abs(eigvals[i].real)):
-            continue
-        vec = eigvecs[:, i]
-        pivot = vec[np.argmax(np.abs(vec))]
-        vec = (vec * np.conj(pivot) / abs(pivot)).real
-        if abs(vec[9]) < 1e-10 * np.linalg.norm(vec):
-            continue
-        cand = vec[6:9] / vec[9]
-        if all(np.linalg.norm(cand - prev) > 1e-9 * (1.0 + np.linalg.norm(cand))
-               for prev in candidates):
-            candidates.append(cand)
-
-    results = []
-    solutions: list[np.ndarray] = []
-    for cand in candidates:
-        x, res = _polish_on_system(system, cand, _poly.trivariate_monomials,
-                                   _poly.trivariate_gradient, iterations=3)
-        scale = (x @ x + 1.0) ** 1.5  # orthonormal basis: ||E|| = sqrt(|x|^2 + 1)
-        if res / scale > 1e-6:
-            continue
-        if any(np.linalg.norm(x - prev) < 1e-7 * (1.0 + np.linalg.norm(x))
-               for prev in solutions):
-            continue
-        solutions.append(x)
-        e = x[0] * pencil[0] + x[1] * pencil[1] + x[2] * pencil[2] + pencil[3]
-        results.append((e, res / scale))
-    results.sort(key=lambda item: item[1])
-    return results[:10]
-
-
 def solve_e_5pt(pairs, k1, k2) -> SolverOutput:
     """Essential matrix candidates from five point pairs (action-matrix solver)."""
     pairs = as_pair_array(pairs)
     if pairs.shape[0] != 5:
         raise ValueError("the five-point solver needs exactly 5 correspondences")
-    from .geometry import normalize_pairs
-
-    local = normalize_pairs(pairs, k1, k2)
-    rows = epipolar_rows(local)
-    results = essential_candidates_from_rows(rows)
-    models = [EssentialMatrix.from_array(e) for e, _ in results]
-    return SolverOutput(
-        models=models, null_space_dim=4,
-        row_residuals=[_system_residuals(rows, m.m) for m in models],
-        extras={"trace_residuals": [r for _, r in results]},
-    )
+    rows = epipolar_rows(normalize_pairs(pairs, k1, k2))
+    candidates, solvable = essential_candidates_batch(rows[None])
+    if not solvable[0]:
+        raise DegenerateSampleError("constraint system rank-deficient or leading monomial "
+                                    "block singular; sample does not determine the model")
+    models = [EssentialMatrix.from_array(e) for e in candidates[0]]
+    return SolverOutput(models=models, null_space_dim=4,
+                        row_residuals=[_system_residuals(rows, m.m) for m in models])
 
 
 # ---------------------------------------------------------------------------
@@ -956,13 +858,11 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
 
 
 def _semicalibrated_setup(points1: np.ndarray, points2: np.ndarray, principal_point):
+    """One similarity for both images: the principal point to the origin, unit mean radius."""
     pp = np.asarray(principal_point, dtype=float).reshape(2)
-    shifted1 = points1 - pp
-    shifted2 = points2 - pp
-    spread = np.mean(np.linalg.norm(np.vstack([shifted1, shifted2]), axis=1))
+    spread = np.mean(np.linalg.norm(np.vstack([points1 - pp, points2 - pp]), axis=1))
     s = 1.0 / spread if spread > 1e-12 else 1.0
-    t = np.array([[s, 0.0, -s * pp[0]], [0.0, s, -s * pp[1]], [0.0, 0.0, 1.0]])
-    return t, s
+    return _similarity(pp, s), s
 
 
 def _semicalibrated_output(results, t: np.ndarray, s: float,
@@ -1064,14 +964,3 @@ def run_minimal_solver(solver_id: str, corr, k1=None, k2=None,
 def _default_k(k):
     return CameraIntrinsics(1.0, 1.0, 0.0, 0.0) if k is None else k
 
-
-def system_for_sample(solver_id: str, corr) -> CoefficientSystem:
-    """The coefficient system a minimal solver consumes, for diagnostics."""
-    info = solver_info(solver_id)
-    corr = as_sift_array(corr)
-    pairs = corr[:, [0, 1, 4, 5]] if corr.shape[1] == 8 else corr[:, :4]
-    if not info.uses_orientation:
-        return CoefficientSystem(epipolar_rows(pairs), ("epipolar",) * pairs.shape[0])
-    n_sift = 3
-    rows = np.vstack([epipolar_rows(pairs), sift_rows(corr)[:n_sift]])
-    return CoefficientSystem(rows, ("epipolar",) * pairs.shape[0] + ("sift",) * n_sift)

@@ -28,7 +28,14 @@ from .geometry import (
     symmetric_epipolar_errors,
 )
 from .parallel import pool_map, resolve_workers
-from .solvers import FocalModel, _norm, run_minimal_solver, solver_info
+from .solvers import (
+    FocalModel,
+    _apply_similarity,
+    _hartley_similarity,
+    _norm,
+    run_minimal_solver,
+    solver_info,
+)
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -115,17 +122,9 @@ def _project(p: np.ndarray, world: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _normalized_dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Homography from four (or more) point pairs with Hartley conditioning."""
-    def similarity(points):
-        centroid = points.mean(axis=0)
-        spread = np.mean(np.linalg.norm(points - centroid, axis=1))
-        s = math.sqrt(2.0) / spread if spread > 1e-12 else 1.0
-        return np.array([[s, 0.0, -s * centroid[0]],
-                         [0.0, s, -s * centroid[1]],
-                         [0.0, 0.0, 1.0]])
-
-    t1, t2 = similarity(src), similarity(dst)
-    a = src @ t1[:2, :2].T + t1[:2, 2]
-    b = dst @ t2[:2, :2].T + t2[:2, 2]
+    t1, t2 = _hartley_similarity(src), _hartley_similarity(dst)
+    a = _apply_similarity(src, t1)
+    b = _apply_similarity(dst, t2)
     rows = np.zeros((2 * a.shape[0], 9))
     rows[0::2, 0] = a[:, 0]
     rows[0::2, 1] = a[:, 1]

@@ -185,6 +185,32 @@ class TestBenchCommands:
         assert list(statuses.values()).count("parse-error") == 1
 
 
+class TestNonFiniteInput:
+    """A non-finite field is malformed input: exit 3 with a message, no traceback."""
+
+    @pytest.mark.parametrize("command,fixture,meta", [
+        ("solve", "f4sift_clean.csv", None),
+        ("ransac", "ransac_f_demo.csv", "ransac_f_demo.meta"),
+    ])
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_exit_code(self, tmp_path, command, fixture, meta, token):
+        with open(os.path.join(FIXTURES, fixture)) as handle:
+            lines = handle.read().splitlines()
+        fields = lines[2].split(",")
+        fields[4] = token
+        lines[2] = ",".join(fields)
+        bad = tmp_path / fixture
+        bad.write_text("\n".join(lines) + "\n")
+        args = [sys.executable, "-m", "siftpose.cli", command, "--problem", "f4sift",
+                "--input", str(bad)]
+        if meta is not None:
+            args += ["--meta", os.path.join(FIXTURES, meta)]
+        result = subprocess.run(args, capture_output=True, text=True)
+        assert result.returncode == 3
+        assert f"{bad}:3: non-finite value" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
         result = subprocess.run(

@@ -48,6 +48,14 @@ class TestCorrespondenceFiles:
             read_correspondences(path)
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, token):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# units=rad\n1,2,3,4,5,6,7,8\n1,2,3,4,{token},6,7,8\n")
+        with pytest.raises(ParseError, match="non-finite") as excinfo:
+            read_correspondences(path)
+        assert excinfo.value.line == 3
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# units=rad\n1,2,3\n")

@@ -166,7 +166,7 @@ class TestLocalOptimize:
         scene, corr, _ = make_robust_instance(120, 1.0, 1.0, rng)
         problem = FundamentalProblem(corr, "f7pt")
         threshold = 0.75 * problem.threshold_factor
-        model = problem.solve_minimal(np.arange(7))[0]
+        model = problem.solve_minimal_batch(np.arange(7)[None])[0][0]
         _, inliers = score_msac(problem.errors(model), threshold)
         _, _, _, rounds, history, _ = local_optimize(problem, model, inliers, threshold)
         assert rounds >= 1
@@ -176,7 +176,7 @@ class TestLocalOptimize:
         corr = scene.correspondences[[0, 1, 11, 12, 13]]  # five points, two planes
         problem = FundamentalProblem(corr, "f4sift")
         threshold = 0.75 * problem.threshold_factor
-        model = problem.solve_minimal(np.array([0, 1, 2, 3]))[0]
+        model = problem.solve_minimal_batch(np.array([[0, 1, 2, 3]]))[0][0]
         _, inliers = score_msac(problem.errors(model), threshold)
         out_model, _, _, rounds, _, warn = local_optimize(problem, model, inliers, threshold)
         assert warn == "insufficient inliers"
@@ -251,6 +251,10 @@ class TestRansacEndToEnd:
     def test_make_problem_validation(self, scene):
         with pytest.raises(ValueError):
             make_problem("e3sift", scene.correspondences)
+        corr = scene.correspondences.copy()
+        corr[[2, 5], [0, 6]] = [np.nan, np.inf]
+        with pytest.raises(ValueError, match="2 of"):
+            make_problem("f4sift", corr)
         with pytest.raises(ValueError):
             make_problem("ff3sift", scene.correspondences)
         problem = make_problem("ff3sift", scene.correspondences,
@@ -269,6 +273,17 @@ class TestRansacEndToEnd:
         assert report.model.focal > 0.0
         recall = np.intersect1d(report.inliers, np.nonzero(mask)[0]).size / mask.sum()
         assert recall > 0.5
+
+    @pytest.mark.parametrize("trial", [0, 3, 5])
+    def test_focal_lo_keeps_the_minimal_focal(self, trial):
+        # noise-free pairs on which pairing a least-squares F with the seed's
+        # focal length in local optimization gives 11-66% focal error
+        rng = np.random.default_rng(np.random.SeedSequence((556, trial)))
+        scene, corr, _ = make_robust_instance(200, 0.6, 0.0, rng)
+        problem = FocalProblem(corr, scene.principal_point, "ff3sift")
+        report = ransac(problem, RansacConfig(seed=trial))
+        assert report.success
+        assert abs(report.model.focal - scene.focal) / scene.focal <= 1e-6
 
     def test_sample_size_economics(self):
         # the quantitative core: fewer correspondences per sample means fewer

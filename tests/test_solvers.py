@@ -14,7 +14,9 @@ from siftpose.geometry import (
     translation_error,
 )
 from siftpose.solvers import (
+    essential_candidates_batch,
     normalize_sift_correspondences,
+    rank2_candidates_batch,
     real_cubic_roots,
     run_minimal_solver,
     solve_e_3sift,
@@ -261,6 +263,73 @@ class TestEssentialSolvers:
         delta = np.mod(local[:, 3] - scene.correspondences[:, 3], 2 * math.pi)
         delta = np.minimum(delta, 2 * math.pi - delta)
         assert np.max(delta) < 1e-12
+
+
+class TestSingleCore:
+    """The public F/E solvers and the sampling loop run one batched core."""
+
+    @staticmethod
+    def _blocks(scenes, size, feature_rows):
+        rng = np.random.default_rng(23)
+        blocks = []
+        for scene in scenes:
+            idx = spanning_indices(scene, size, rng)
+            corr = scene.correspondences[idx]
+            if feature_rows:
+                rows = np.vstack([epipolar_rows(corr[:, [0, 1, 4, 5]]), sift_rows(corr)[:3]])
+            else:
+                rows = epipolar_rows(normalize_sift_correspondences(corr, scene.k1, scene.k2)
+                                     [:, [0, 1, 4, 5]])
+            blocks.append(rows)
+        blocks.append(np.zeros_like(blocks[0]))
+        return np.stack(blocks)
+
+    @pytest.mark.parametrize("size,feature_rows", [(4, True), (7, False)])
+    def test_rank2_batch_rows_equal_batches_of_one(self, scenes, size, feature_rows):
+        rows = self._blocks(scenes, size, feature_rows)
+        batched = rank2_candidates_batch(rows)
+        assert any(batched) and batched[-1] == []
+        for i, models in enumerate(batched):
+            alone = rank2_candidates_batch(rows[i:i + 1])[0]
+            assert len(alone) == len(models)
+            for a, b in zip(alone, models):
+                assert np.array_equal(a, b)
+
+    def test_e5pt_batch_rows_equal_batches_of_one(self, scenes):
+        rows = self._blocks(scenes, 5, False)
+        batched, solvable = essential_candidates_batch(rows)
+        assert solvable[:-1].all() and not solvable[-1]
+        for i, models in enumerate(batched):
+            alone, alone_solvable = essential_candidates_batch(rows[i:i + 1])
+            assert alone_solvable[0] == solvable[i]
+            assert len(alone[0]) == len(models)
+            for a, b in zip(alone[0], models):
+                assert np.array_equal(a, b)
+
+    @staticmethod
+    def _calls(scene):
+        return {
+            "f7pt": lambda corr: solve_f_7pt(corr),
+            "f4sift": lambda corr: solve_f_4sift(corr),
+            "e5pt": lambda corr: solve_e_5pt(corr, scene.k1, scene.k2),
+        }
+
+    @pytest.mark.parametrize("solver_id,size", [("f7pt", 7), ("f4sift", 4), ("e5pt", 5)])
+    def test_rank_deficient_sample_refused(self, scene, solver_id, size):
+        sample = scene.correspondences[[0] * size]  # one correspondence repeated
+        with pytest.raises(DegenerateSampleError):
+            self._calls(scene)[solver_id](sample)
+
+    @pytest.mark.parametrize("solver_id,size", [("f7pt", 7), ("f4sift", 4), ("e5pt", 5)])
+    def test_all_zero_rows_refused(self, scene, solver_id, size, monkeypatch):
+        monkeypatch.setattr(solvers_module, "epipolar_rows",
+                            lambda pairs: np.zeros((pairs.shape[0], 9)))
+        monkeypatch.setattr(solvers_module, "sift_rows",
+                            lambda corr: np.zeros((corr.shape[0], 9)))
+        rng = np.random.default_rng(24)
+        sample = scene.correspondences[spanning_indices(scene, size, rng)]
+        with pytest.raises(DegenerateSampleError):
+            self._calls(scene)[solver_id](sample)
 
 
 class TestFocalSolvers:
