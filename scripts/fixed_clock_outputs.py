@@ -3,9 +3,11 @@
 
 Usage: python3 scripts/fixed_clock_outputs.py <out_dir>
 
-Runs the siftpose found in src/ next to this script. Two checkouts compare
-with `diff -r <out_a> <out_b>`: copy this script into the other checkout's
-scripts/ directory and run it there with a second output directory. Outputs:
+Runs the siftpose found in src/ next to this script. To compare two
+checkouts, copy this script into the other checkout's scripts/ directory,
+run it there with a second output directory, and check the pair with
+`python3 scripts/compare_outputs.py <out_a> <out_b>` (or `diff -r` for
+bytes only). Outputs:
 
 - ransac --fixed-clock on the demo pair for f4sift, f7pt, e3sift, e5pt and
   ff3sift, with local optimization on and off, seeds 1 and 5;

@@ -58,7 +58,6 @@ from .constraints import (
     sift_rows,
 )
 from .solvers import (
-    EssentialSolverState,
     FocalModel,
     MINIMAL_SOLVERS,
     SolverOutput,

@@ -35,18 +35,18 @@ class MonomialAlgebra:
         self.n3 = len(self.exps3)
         self.s11 = _scatter_table(self.exps1, self.exps1, self.exps2)
         self.s21 = _scatter_table(self.exps2, self.exps1, self.exps3)
+        # d/dv of a degree-3 monomial is its exponent of v times the basis
+        # entry one lower in v; a zero exponent takes the constant 1
+        index = {e: i for i, e in enumerate(self.exps3)}
+        constant = index[(0,) * len(self.exps3[0])]
+        self.d_coeff = np.array(self.exps3, dtype=float)
+        self.d_index = np.array([
+            [index[e[:v] + (e[v] - 1,) + e[v + 1:]] if e[v] else constant for v in range(len(e))]
+            for e in self.exps3])
 
-    def monomials3(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate the degree-3 basis at stacked variable values (..., nvars)."""
-        values = np.asarray(values, dtype=float)
-        out = np.empty(values.shape[:-1] + (self.n3,))
-        for i, exp in enumerate(self.exps3):
-            term = np.ones(values.shape[:-1])
-            for var, power in enumerate(exp):
-                if power:
-                    term = term * values[..., var] ** power
-            out[..., i] = term
-        return out
+    def gradient(self, monomials: np.ndarray) -> np.ndarray:
+        """Partial derivatives (m, n3, nvars) of the degree-3 basis from its values (m, n3)."""
+        return monomials[:, self.d_index] * self.d_coeff
 
 
 # Two parameters (x, y): the constant basis vector comes last, and the first
@@ -72,38 +72,74 @@ TRIVARIATE = MonomialAlgebra(
 )
 
 
-def bivariate_monomials(x: float, y: float) -> np.ndarray:
-    """Degree-3 basis [x3 y3 x2y xy2 x2 y2 xy x y 1] at a point."""
-    x2, y2 = x * x, y * y
-    return np.array([x2 * x, y2 * y, x2 * y, x * y2, x2, y2, x * y, x, y, 1.0])
+# Batched evaluators: each basis is a (monomials, gradient) pair that takes
+# states (m, nvars) and returns the basis values (m, k) and their partial
+# derivatives (m, k, nvars), rows ordered as the basis.
+
+def bivariate_monomials_batch(states: np.ndarray) -> np.ndarray:
+    """The bivariate degree-3 basis [x3 y3 x2y xy2 x2 y2 xy x y 1]."""
+    x, y = states[:, 0], states[:, 1]
+    squares = states * states
+    out = np.empty((states.shape[0], 10))
+    out[:, 0:2] = squares * states
+    out[:, 2] = squares[:, 0] * y
+    out[:, 3] = x * squares[:, 1]
+    out[:, 4:6] = squares
+    out[:, 6] = x * y
+    out[:, 7:9] = states
+    out[:, 9] = 1.0
+    return out
 
 
-def bivariate_gradient(x: float, y: float) -> np.ndarray:
-    """Partial derivatives of the bivariate degree-3 basis; shape (10, 2)."""
-    return np.array([
-        [3 * x * x, 0.0], [0.0, 3 * y * y], [2 * x * y, x * x], [y * y, 2 * x * y],
-        [2 * x, 0.0], [0.0, 2 * y], [y, x], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
-    ])
-
-
-def trivariate_gradient(states: np.ndarray) -> np.ndarray:
-    """Partial derivatives of the trivariate degree-3 basis at states (m, 3).
-
-    Returns shape (m, 20, 3), rows ordered as TRIVARIATE.exps3.
-    """
+def trivariate_monomials_batch(states: np.ndarray) -> np.ndarray:
+    """The trivariate degree-3 basis, ordered as TRIVARIATE.exps3."""
     x, y, z = states[:, 0], states[:, 1], states[:, 2]
     x2, y2, z2 = x * x, y * y, z * z
-    dxy, dxz, dyz = 2 * x * y, 2 * x * z, 2 * y * z
-    out = np.zeros((states.shape[0], 20, 3))
-    for row, col, value in ((0, 0, 3 * x2), (1, 0, dxy), (1, 1, x2), (2, 0, dxz), (2, 2, x2),
-                            (3, 0, y2), (3, 1, dxy), (4, 0, y * z), (4, 1, x * z), (4, 2, x * y),
-                            (5, 0, z2), (5, 2, dxz), (6, 1, 3 * y2), (7, 1, dyz), (7, 2, y2),
-                            (8, 1, z2), (8, 2, dyz), (9, 2, 3 * z2), (10, 0, 2 * x), (11, 0, y),
-                            (11, 1, x), (12, 0, z), (12, 2, x), (13, 1, 2 * y), (14, 1, z),
-                            (14, 2, y), (15, 2, 2 * z)):
-        out[:, row, col] = value
-    out[:, 16:19] = np.eye(3)
+    out = np.empty((states.shape[0], 20))
+    out[:, 0:3] = x2[:, None] * states
+    out[:, 3] = x * y2
+    out[:, 4] = x * y * z
+    out[:, 5] = x * z2
+    out[:, 6:8] = y2[:, None] * states[:, 1:]
+    out[:, 8] = y * z2
+    out[:, 9] = z2 * z
+    out[:, 10:13] = x[:, None] * states
+    out[:, 13] = y2
+    out[:, 14:16] = z[:, None] * states[:, 1:]
+    out[:, 16:19] = states
+    out[:, 19] = 1.0
     return out
+
+
+def semicalibrated_monomials_batch(states: np.ndarray) -> np.ndarray:
+    """[mono, w mono, w^2 mono] at states (x, y, w), mono the bivariate basis at (x, y).
+
+    A system [a0 | a1 | a2] over this basis evaluates (a0 + w a1 + w^2 a2) mono.
+    """
+    mono = bivariate_monomials_batch(states[:, :2])
+    w = states[:, 2:]
+    return np.concatenate([mono, w * mono, (w * w) * mono], axis=1)
+
+
+def semicalibrated_gradient_batch(states: np.ndarray) -> np.ndarray:
+    """Partial derivatives (m, 30, 3) of the semicalibrated basis in (x, y, w)."""
+    mono = bivariate_monomials_batch(states[:, :2])
+    grad = BIVARIATE.gradient(mono)
+    w = states[:, 2:]
+    out = np.zeros((states.shape[0], 30, 3))
+    out[:, :10, :2] = grad
+    out[:, 10:20, :2] = w[:, :, None] * grad
+    out[:, 20:, :2] = (w * w)[:, :, None] * grad
+    out[:, 10:20, 2] = mono
+    out[:, 20:, 2] = (2.0 * w) * mono
+    return out
+
+
+BIVARIATE_BASIS = (bivariate_monomials_batch,
+                   lambda states: BIVARIATE.gradient(bivariate_monomials_batch(states)))
+TRIVARIATE_BASIS = (trivariate_monomials_batch,
+                    lambda states: TRIVARIATE.gradient(trivariate_monomials_batch(states)))
+SEMICALIBRATED_BASIS = (semicalibrated_monomials_batch, semicalibrated_gradient_batch)
 
 
 def polymat_from_basis(mats) -> np.ndarray:

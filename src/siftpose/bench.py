@@ -178,7 +178,6 @@ def pose_errors(solver_id: str, model, inlier_pairs: np.ndarray,
 
 
 def _ransac_for(solver_id: str, corr: np.ndarray, scene_or_meta, config: RansacConfig):
-    info = solver_info(solver_id)
     if isinstance(scene_or_meta, SyntheticScene):
         k1, k2, pp = scene_or_meta.k1, scene_or_meta.k2, scene_or_meta.principal_point
     else:
@@ -186,12 +185,7 @@ def _ransac_for(solver_id: str, corr: np.ndarray, scene_or_meta, config: RansacC
         if scene_or_meta.k1 is not None:
             k1, k2 = scene_or_meta.intrinsics()
             pp = scene_or_meta.principal_point
-    if info.family == "e":
-        problem = make_problem(solver_id, corr, k1=k1, k2=k2)
-    elif info.family == "ff":
-        problem = make_problem(solver_id, corr, principal_point=pp)
-    else:
-        problem = make_problem(solver_id, corr)
+    problem = make_problem(solver_id, corr, k1=k1, k2=k2, principal_point=pp)
     return problem, ransac(problem, config)
 
 

@@ -54,10 +54,14 @@ class CoefficientSystem:
     def residuals(self, f) -> np.ndarray:
         """Row residuals normalized by row norm times model norm."""
         vec = f.flat() if hasattr(f, "flat") and callable(f.flat) else np.asarray(f).reshape(-1)
-        vec = np.asarray(vec, dtype=float)
-        scale = np.linalg.norm(self.rows, axis=1) * np.linalg.norm(vec)
-        scale = np.where(scale == 0.0, 1.0, scale)
-        return np.abs(self.rows @ vec) / scale
+        return normalized_residuals(self.rows, np.asarray(vec, dtype=float))
+
+
+def normalized_residuals(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """|rows . vec| / (|row| |vec|) per row; a zero scale counts as one."""
+    scale = np.linalg.norm(rows, axis=1) * np.linalg.norm(vec)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    return np.abs(rows @ vec) / scale
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from .solvers import (
     _solve_semicalibrated_rows,
     _transform_sift,
     as_sift_array,
+    essential_3sift_batch,
     essential_candidates_batch,
-    essential_single_from_rows,
     normalize_sift_correspondences,
     rank2_candidates_batch,
     solve_f_8pt,
@@ -111,27 +111,6 @@ def _pairwise_distance_squared(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _collinear(points: np.ndarray) -> bool:
-    centered = points - points.mean(axis=0)
-    a = float(centered[:, 0] @ centered[:, 0])
-    b = float(centered[:, 0] @ centered[:, 1])
-    c = float(centered[:, 1] @ centered[:, 1])
-    disc = math.sqrt(max((a - c) ** 2 + 4.0 * b * b, 0.0))
-    return max(0.5 * (a + c - disc), 0.0) < 1e-12
-
-
-def sample_is_degenerate(pairs: np.ndarray, check_collinear: bool) -> bool:
-    """Coincident points within one pixel in either image, or a collinear sample."""
-    pairs = np.asarray(pairs, dtype=float)
-    for cols in ((0, 1), (2, 3)):
-        pts = pairs[:, cols]
-        if _pairwise_distance_squared(pts).min() < 1.0:
-            return True
-        if check_collinear and pts.shape[0] >= 3 and _collinear(pts):
-            return True
-    return False
-
-
 class _DegeneracyIndex:
     """Precomputed pairwise pixel distances for fast per-sample checks."""
 
@@ -147,7 +126,8 @@ class _DegeneracyIndex:
         cols = draws[:, None, :]
         bad = (self.d1[rows, cols].min(axis=(1, 2)) < 1.0)
         bad |= (self.d2[rows, cols].min(axis=(1, 2)) < 1.0)
-        if self.check_collinear:
+        # fewer than three points are never collinear
+        if self.check_collinear and draws.shape[1] >= 3:
             for offset in (0, 2):
                 pts = self.pairs[draws][:, :, offset:offset + 2]
                 centered = pts - pts.mean(axis=1, keepdims=True)
@@ -157,6 +137,13 @@ class _DegeneracyIndex:
                 disc = np.sqrt(np.maximum((a - c) ** 2 + 4.0 * b * b, 0.0))
                 bad |= np.maximum(0.5 * (a + c - disc), 0.0) < 1e-12
         return ~bad
+
+
+def sample_is_degenerate(pairs: np.ndarray, check_collinear: bool) -> bool:
+    """Coincident points within one pixel in either image, or a collinear sample."""
+    pairs = np.asarray(pairs, dtype=float)
+    index = _DegeneracyIndex(pairs, check_collinear)
+    return not index.block(np.arange(pairs.shape[0])[None])[0]
 
 
 def degeneracy_check(sample: np.ndarray, kind: str) -> bool:
@@ -282,17 +269,6 @@ class _EpipolarProblem:
         rows[:, 1::2] = self.feature_rows[idx_block]
         return rows
 
-    @staticmethod
-    def _solve_each(rows: np.ndarray, solve) -> list:
-        """Models of each sample from a per-sample core; a refused sample has none."""
-        out = []
-        for sample_rows in rows:
-            try:
-                out.append(solve(sample_rows))
-            except (SolverError, ValueError):
-                out.append([])
-        return out
-
     @property
     def size(self) -> int:
         return self.pairs.shape[0]
@@ -363,7 +339,8 @@ class EssentialProblem(_EpipolarProblem):
         rows = self._sample_rows(idx_block)
         if self.solver_id == "e5pt":
             return essential_candidates_batch(rows)[0]
-        return self._solve_each(rows, lambda sample: [essential_single_from_rows(sample)[0]])
+        return [[] if isinstance(result, Exception) else [result[0]]
+                for result in essential_3sift_batch(rows)]
 
     def refit(self, model, inlier_idx):
         # raw least-squares fit; scoring keeps the raw output and the manifold
@@ -402,9 +379,14 @@ class FocalProblem(_EpipolarProblem):
         self.t1 = self.t2 = t
 
     def solve_minimal_batch(self, idx_block: np.ndarray):
-        return self._solve_each(
-            self._sample_rows(idx_block),
-            lambda rows: [(f, focal) for f, focal, _ in _solve_semicalibrated_rows(rows)])
+        # one sample at a time; a refused sample has no model
+        out = []
+        for rows in self._sample_rows(idx_block):
+            try:
+                out.append([(f, focal) for f, focal, _ in _solve_semicalibrated_rows(rows)])
+            except (SolverError, ValueError):
+                out.append([])
+        return out
 
     def refit(self, model, inlier_idx):
         return None

@@ -15,11 +15,12 @@ import numpy as np
 import scipy.linalg
 
 from . import _poly
-from .constraints import epipolar_rows, sift_rows
+from .constraints import epipolar_rows, normalized_residuals, sift_rows
 from .errors import (
     DegenerateSampleError,
     IllConditionedSampleError,
     NoValidFocalError,
+    SolverError,
 )
 from .geometry import (
     CameraIntrinsics,
@@ -225,48 +226,66 @@ def essential_residual(e) -> float:
     return float(np.linalg.norm(r[:9])) + abs(float(r[9]))
 
 
-def _polish_on_system(system: np.ndarray, start: np.ndarray, mono_fn, grad_fn,
-                      iterations: int = 4) -> tuple[np.ndarray, float]:
-    """Damped Gauss-Newton on a polynomial system given by coefficient rows.
+def _polish_batch(systems: np.ndarray, states: np.ndarray, basis, iterations: int):
+    """Lockstep damped Gauss-Newton over many (system, start) pairs.
 
-    system has one row per equation over a fixed monomial basis; mono_fn and
-    grad_fn evaluate the basis and its parameter gradient. Returns the
-    refined parameters and the final residual norm.
+    systems (m, r, k) holds one polynomial system per start as r coefficient
+    rows over a k-term monomial basis; basis is a (monomials, gradient) pair
+    of batched evaluators from _poly. Every iteration solves the normal
+    equations, damped by 1e-300 I, and tries the step and up to five halvings
+    of it, taking the first whose squared residual does not grow. A start
+    stops once its squared residual is at most 1e-28, its normal equations
+    are singular or give a non-finite step, or no trial is taken; the others
+    go on, and a stopped start never moves again. Returns the refined states
+    and their residual norms (m,).
     """
-    x = np.asarray(start, dtype=float)
-    r = system @ mono_fn(*x)
-    size = float(r @ r)
+    monomials, gradient = basis
+    states = states.copy()
+    r = np.einsum("mij,mj->mi", systems, monomials(states))
+    size = np.einsum("mi,mi->m", r, r)
+    damping = 1e-300 * np.eye(states.shape[1])
+    live = np.ones(states.shape[0], dtype=bool)
     for _ in range(iterations):
-        if size < 1e-30:
+        live &= size > 1e-28
+        if not live.any():
             break
-        jac = system @ grad_fn(*x)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
+        jac = np.einsum("mij,mjk->mik", systems, gradient(states))
+        jtj = np.einsum("mik,mil->mkl", jac, jac)
+        jtr = np.einsum("mik,mi->mk", jac, r)
+        jtj += damping
+        steps = np.zeros_like(states)
         try:
-            step = np.linalg.solve(jtj, -jtr)
+            steps[live] = np.linalg.solve(jtj[live], -jtr[live, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
+            # a singular start stops alone, as it would when polished by itself
+            for i in np.nonzero(live)[0]:
+                try:
+                    steps[i] = np.linalg.solve(jtj[i:i + 1], -jtr[i:i + 1, :, None])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    live[i] = False
+        live &= np.isfinite(steps).all(axis=1)
+        steps[~live] = 0.0
+        # every start still searching has had the same number of halvings
+        remaining = live.copy()
         scale = 1.0
         for _ in range(6):
-            trial = x + scale * step
-            r_t = system @ mono_fn(*trial)
-            size_t = float(r_t @ r_t)
-            if size_t <= size or size_t < 1e-28:
-                x, r, size = trial, r_t, size_t
+            trial = states + scale * steps
+            r_t = np.einsum("mij,mj->mi", systems, monomials(trial))
+            size_t = np.einsum("mi,mi->m", r_t, r_t)
+            accept = remaining & ((size_t <= size) | (size_t < 1e-28))
+            np.copyto(states, trial, where=accept[:, None])
+            np.copyto(r, r_t, where=accept[:, None])
+            np.copyto(size, size_t, where=accept)
+            remaining &= ~accept
+            if not remaining.any():
                 break
             scale *= 0.5
-        else:
-            break
-    return x, math.sqrt(size)
+        live &= ~remaining
+    return states, np.sqrt(size)
 
 
 def _system_residuals(rows: np.ndarray, model_matrix: np.ndarray) -> float:
-    vec = model_matrix.reshape(-1)
-    scale = np.linalg.norm(rows, axis=1) * np.linalg.norm(vec)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return float(np.max(np.abs(rows @ vec) / scale))
+    return float(np.max(normalized_residuals(rows, model_matrix.reshape(-1))))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +406,7 @@ def essential_candidates_batch(rows: np.ndarray) -> tuple[list, np.ndarray]:
     if flat_states:
         states = np.asarray(flat_states)
         systems = system[np.asarray(owners)]
-        states, residuals = _polish_trivariate_batch(systems, states, iterations=3)
+        states, residuals = _polish_batch(systems, states, _poly.TRIVARIATE_BASIS, 3)
         per_sample: dict = {}
         for k, i in enumerate(owners):
             x = states[k]
@@ -401,63 +420,6 @@ def essential_candidates_batch(rows: np.ndarray) -> tuple[list, np.ndarray]:
             kept.append(x)
             results[i].append(np.einsum("k,kij->ij", np.append(x, 1.0), pencil[i]))
     return results, solvable
-
-
-def _trivariate_monomials_batch(states: np.ndarray) -> np.ndarray:
-    """The trivariate degree-3 basis at states (m, 3), ordered as TRIVARIATE.exps3."""
-    x, y, z = states[:, 0], states[:, 1], states[:, 2]
-    x2, y2, z2 = x * x, y * y, z * z
-    out = np.empty((states.shape[0], 20))
-    out[:, 0:3] = x2[:, None] * states
-    out[:, 3] = x * y2
-    out[:, 4] = x * y * z
-    out[:, 5] = x * z2
-    out[:, 6:8] = y2[:, None] * states[:, 1:]
-    out[:, 8] = y * z2
-    out[:, 9] = z2 * z
-    out[:, 10:13] = x[:, None] * states
-    out[:, 13] = y2
-    out[:, 14:16] = z[:, None] * states[:, 1:]
-    out[:, 16:19] = states
-    out[:, 19] = 1.0
-    return out
-
-
-def _polish_trivariate_batch(systems: np.ndarray, states: np.ndarray,
-                             iterations: int = 3):
-    """Lockstep damped Gauss-Newton over many (system, start) pairs."""
-    states = states.copy()
-    r = np.einsum("mij,mj->mi", systems, _trivariate_monomials_batch(states))
-    size = np.einsum("mi,mi->m", r, r)
-    for _ in range(iterations):
-        active = size > 1e-28
-        if not np.any(active):
-            break
-        jac = np.einsum("mij,mjk->mik", systems, _poly.trivariate_gradient(states))
-        jtj = np.einsum("mik,mil->mkl", jac, jac)
-        jtr = np.einsum("mik,mi->mk", jac, r)
-        jtj += 1e-300 * np.eye(3)
-        try:
-            steps = np.linalg.solve(jtj, -jtr[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        steps[~np.isfinite(steps).all(axis=1)] = 0.0
-        steps[~active] = 0.0
-        scale = np.ones(states.shape[0])
-        remaining = active.copy()
-        for _ in range(6):
-            if not np.any(remaining):
-                break
-            trial = states + scale[:, None] * steps
-            r_t = np.einsum("mij,mj->mi", systems, _trivariate_monomials_batch(trial))
-            size_t = np.einsum("mi,mi->m", r_t, r_t)
-            accept = remaining & ((size_t <= size) | (size_t < 1e-28))
-            states[accept] = trial[accept]
-            r[accept] = r_t[accept]
-            size[accept] = size_t[accept]
-            remaining &= ~accept
-            scale[remaining] *= 0.5
-    return states, np.sqrt(size)
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +513,6 @@ def solve_f_8pt(pairs) -> FundamentalMatrix:
 # Essential matrix solvers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EssentialSolverState:
-    """Null-space basis and monomial solution of the three-correspondence solver."""
-
-    n1: np.ndarray
-    n2: np.ndarray
-    n3: np.ndarray
-    alpha: float
-    beta: float
-    gamma: float
-    y: np.ndarray
-    q: np.ndarray
-    b: np.ndarray
-
-
 _ALPHA_PICKS = ((7, None), (0, "cbrt"), (6, 8), (4, 7))
 _BETA_PICKS = ((8, None), (1, "cbrt"), (6, 7), (5, 8))
 
@@ -583,23 +530,16 @@ def _monomial_candidates(y: np.ndarray, picks) -> list[float]:
     return [float(v) for v in values if np.isfinite(v)]
 
 
-def essential_single_from_rows(rows: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Core of the three-correspondence essential solver.
+def _e3sift_start(rows: np.ndarray):
+    """Front of the e3sift core on one 6x9 sample; raises when it refuses the sample.
 
-    rows is the 6x9 stacked constraint system in calibrated coordinates. The
-    three-dimensional null space combination is substituted into the trace
-    and determinant constraints, giving ten equations solved in least squares
-    over the monomial vector; candidate coefficients from the monomial
-    entries are refined by a short damped Gauss-Newton. Returns the raw 3x3
-    matrix and diagnostics.
+    Returns the null-space pencil (3, 3, 3), the constraint system (10, 10),
+    the monomial solution y and the Gauss-Newton start (alpha, beta).
     """
     basis, _ = nullspace(rows, 3)
-    n1, n2, n3 = (basis[i].reshape(3, 3) for i in range(3))
-
-    system = _poly.essential_constraint_system([n1, n2, n3], _poly.BIVARIATE)
-    q = system[:, :9]
-    b = -system[:, 9]
-    y, _, _, sv = np.linalg.lstsq(q, b, rcond=None)
+    pencil = basis.reshape(3, 3, 3)
+    system = _poly.essential_constraint_system(pencil, _poly.BIVARIATE)
+    y, _, _, sv = np.linalg.lstsq(system[:, :9], -system[:, 9], rcond=None)
     if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
         raise IllConditionedSampleError("monomial system numerically rank-deficient")
 
@@ -607,27 +547,43 @@ def essential_single_from_rows(rows: np.ndarray) -> tuple[np.ndarray, dict]:
     betas = _monomial_candidates(y, _BETA_PICKS)
     if not alphas or not betas:
         raise IllConditionedSampleError("no finite candidate for the null-space coefficients")
+    grid = np.array([(alpha, beta) for alpha in alphas for beta in betas])
+    r = _poly.bivariate_monomials_batch(grid) @ system[:9].T
+    # basis vectors are orthonormal, so the combination's norm is direct
+    res = np.einsum("gi,gi->g", r, r) / (np.einsum("gi,gi->g", grid, grid) + 1.0) ** 3
+    return pencil, system, y, grid[np.argmin(np.where(np.isnan(res), np.inf, res))]
 
-    best = None
-    best_res = math.inf
-    for alpha in alphas:
-        for beta in betas:
-            mono = _poly.bivariate_monomials(alpha, beta)
-            r = system[:9] @ mono
-            # basis vectors are orthonormal, so the combination's norm is direct
-            res = float(r @ r) / (alpha * alpha + beta * beta + 1.0) ** 3
-            if res < best_res:
-                best_res = res
-                best = (alpha, beta)
 
-    (alpha, beta), _ = _polish_on_system(system, np.array(best),
-                                         _poly.bivariate_monomials,
-                                         _poly.bivariate_gradient, iterations=4)
-    e = alpha * n1 + beta * n2 + n3
-    state = EssentialSolverState(n1=n1.reshape(-1), n2=n2.reshape(-1),
-                                 n3=n3.reshape(-1), alpha=float(alpha),
-                                 beta=float(beta), gamma=1.0, y=y, q=q, b=b)
-    return e, {"y": y, "alpha": float(alpha), "beta": float(beta), "state": state}
+def essential_3sift_batch(rows: np.ndarray) -> list:
+    """Core of the three-correspondence essential solver over samples (batch, 6, 9).
+
+    Each sample's rows are the stacked constraints in calibrated
+    coordinates. Its three-dimensional null-space combination is substituted
+    into the trace and determinant constraints, giving ten equations solved
+    in least squares over the monomial vector; the best pair of null-space
+    coefficients read from the monomial entries starts a damped Gauss-Newton,
+    which runs for every solvable sample of the batch in lockstep. Returns
+    one entry per sample: the raw 3x3 matrix with the diagnostics y, alpha
+    and beta, or the exception that refused the sample.
+    """
+    out: list = []
+    starts = []
+    for sample in np.asarray(rows, dtype=float):
+        try:
+            starts.append(_e3sift_start(sample))
+            out.append(None)
+        except (SolverError, np.linalg.LinAlgError) as exc:
+            out.append(exc)
+    if starts:
+        pencils, systems, ys, states = (np.array(part) for part in zip(*starts))
+        states, _ = _polish_batch(systems, states, _poly.BIVARIATE_BASIS, 4)
+        solved = iter(zip(pencils, ys, states))
+        for i, entry in enumerate(out):
+            if entry is None:
+                (n1, n2, n3), y, (alpha, beta) = next(solved)
+                out[i] = (alpha * n1 + beta * n2 + n3,
+                          {"y": y, "alpha": float(alpha), "beta": float(beta)})
+    return out
 
 
 def solve_e_3sift(corr, k1, k2) -> SolverOutput:
@@ -635,7 +591,7 @@ def solve_e_3sift(corr, k1, k2) -> SolverOutput:
 
     Points, orientations, and scales are mapped through the inverse
     intrinsics; three point rows and three feature rows then feed the
-    null-space plus trace-constraint core.
+    null-space plus trace-constraint core, as a batch of one.
     """
     corr = as_sift_array(corr)
     if corr.shape[0] != 3:
@@ -644,7 +600,10 @@ def solve_e_3sift(corr, k1, k2) -> SolverOutput:
     rows = np.empty((6, 9))
     rows[0::2] = epipolar_rows(local[:, [0, 1, 4, 5]])
     rows[1::2] = sift_rows(local)
-    raw, extras = essential_single_from_rows(rows)
+    result = essential_3sift_batch(rows[None])[0]
+    if isinstance(result, Exception):
+        raise result
+    raw, extras = result
     e = EssentialMatrix.from_array(raw)
     extras["trace_residual"] = essential_residual(e)
     return SolverOutput(models=[e], null_space_dim=3,
@@ -716,8 +675,13 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
     rows constrain F in coordinates where the shared principal point is the
     origin. Solves for F(x, y) in the three-dimensional null space and the
     inverse squared focal length w through the quadratic eigenvalue problem
-    of the trace constraint, then polishes each root. Returns a list of
-    (F 3x3, focal, residual) sorted by residual, at most fifteen entries.
+    of the trace constraint. Candidate (x, y, w) triples from each root are
+    polished together by one lockstep Gauss-Newton on the trace and
+    determinant rows; in candidate order, a candidate within 2e-3 of an
+    accepted solution is dropped, and a polished one is accepted when its w
+    is above 1e-14, the residual of its unit-norm F is at most 1e-8 and it
+    is no duplicate. Returns a list of (F 3x3, focal, residual) sorted by
+    residual, at most fifteen entries.
     """
     basis, _ = nullspace(rows, 3)
     n = [basis[i].reshape(3, 3) for i in range(3)]
@@ -766,7 +730,7 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
         push_candidate(x, y, w)
         # re-solve w from the trace rows at this (x, y); eigenvalues are
         # unreliable when two roots cluster in w
-        mono = _poly.BIVARIATE.monomials3(np.array([x, y]))
+        mono = _poly.bivariate_monomials_batch(np.array([[x, y]]))[0]
         quad = np.stack([m2 @ mono, m1 @ mono, m0 @ mono], axis=1)
         _, _, qvt = np.linalg.svd(quad)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -779,63 +743,17 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
         for w_new in real_cubic_roots(0.0, *qvt[0]):
             push_candidate(x, y, float(w_new))
 
-    # polynomial evaluation of residual and exact jacobian: r(x, y, w) =
-    # (a0 + w a1 + w^2 a2) mono(x, y), with the degree-3 basis
-    # [x3 y3 x2y xy2 x2 y2 xy x y 1]
-    def monomials(x, y):
-        x2, y2 = x * x, y * y
-        return np.array([x2 * x, y2 * y, x2 * y, x * y2, x2, y2, x * y, x, y, 1.0])
-
-    def mono_dx(x, y):
-        return np.array([3 * x * x, 0.0, 2 * x * y, y * y, 2 * x, 0.0, y, 1.0, 0.0, 0.0])
-
-    def mono_dy(x, y):
-        return np.array([0.0, 3 * y * y, x * x, 2 * x * y, 0.0, 2 * y, x, 0.0, 1.0, 0.0])
-
-    damping = 1e-300 * np.eye(3)
-
-    def polish(cand, iterations=14):
-        x, y, w = cand
-        mono = monomials(x, y)
-        pencil = a0 + w * a1 + (w * w) * a2
-        r = pencil @ mono
-        size = r @ r
-        for _ in range(iterations):
-            if size < 1e-30:
-                break
-            jac = np.stack([pencil @ mono_dx(x, y), pencil @ mono_dy(x, y),
-                            (a1 + (2.0 * w) * a2) @ mono], axis=1)
-            jtj = jac.T @ jac
-            jtr = jac.T @ r
-            try:
-                step = np.linalg.solve(jtj + damping, -jtr)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            scale = 1.0
-            for _ in range(6):
-                xt, yt, wt = x + scale * step[0], y + scale * step[1], w + scale * step[2]
-                mono_t = monomials(xt, yt)
-                pencil_t = a0 + wt * a1 + (wt * wt) * a2
-                r_t = pencil_t @ mono_t
-                size_t = r_t @ r_t
-                if size_t <= size or size_t < 1e-28:
-                    x, y, w = xt, yt, wt
-                    mono, pencil, r, size = mono_t, pencil_t, r_t, size_t
-                    break
-                scale *= 0.5
-            else:
-                break
-        return np.array([x, y, w]), math.sqrt(size)
-
+    if not candidates:
+        return []
+    system = np.broadcast_to(np.hstack([a0, a1, a2]), (len(candidates), 10, 30))
+    polished, residuals = _polish_batch(system, np.array(candidates),
+                                        _poly.SEMICALIBRATED_BASIS, 14)
     solutions: list[np.ndarray] = []
     results = []
-    for cand in candidates:
+    for cand, sol, res in zip(candidates, polished, residuals.tolist()):
         if any(float(np.abs(cand - prev).max()) < 2e-3 * (1.0 + float(np.abs(cand).max()))
                for prev in solutions):
             continue
-        sol, res = polish(cand)
         x, y, w = sol
         if not (np.isfinite(w) and w > 1e-14):
             continue

@@ -412,14 +412,6 @@ def _balanced_sample(rng, plane_ids: np.ndarray, size: int) -> np.ndarray:
     return idx
 
 
-def _scene_kwargs(info, scene: SyntheticScene) -> dict:
-    if info.family == "e":
-        return {"k1": scene.k1, "k2": scene.k2}
-    if info.family == "ff":
-        return {"principal_point": scene.principal_point}
-    return {}
-
-
 def heldout_error(scene: SyntheticScene, solver_id: str, model, held: np.ndarray) -> float:
     """Mean symmetric epipolar error of a model on held-out correspondences, in pixels."""
     info = solver_info(solver_id)
@@ -444,7 +436,8 @@ def evaluate_trial(scene: SyntheticScene, solver_id: str, rng):
     held = np.setdiff1d(np.arange(scene.correspondences.shape[0]), idx)
     sample = scene.correspondences[idx]
     try:
-        output = run_minimal_solver(solver_id, sample, **_scene_kwargs(info, scene))
+        output = run_minimal_solver(solver_id, sample, k1=scene.k1, k2=scene.k2,
+                                    principal_point=scene.principal_point)
     except (SolverError, ValueError):
         return math.nan, math.nan
     if len(output.models) == 0:

@@ -13,7 +13,10 @@ from siftpose.geometry import (
     symmetric_epipolar_errors,
     translation_error,
 )
+from siftpose import _poly
 from siftpose.solvers import (
+    _polish_batch,
+    essential_3sift_batch,
     essential_candidates_batch,
     normalize_sift_correspondences,
     rank2_candidates_batch,
@@ -306,21 +309,52 @@ class TestSingleCore:
             for a, b in zip(alone[0], models):
                 assert np.array_equal(a, b)
 
+    def test_e3sift_batch_rows_equal_batches_of_one(self, scenes):
+        rng = np.random.default_rng(25)
+        blocks = []
+        for scene in scenes:
+            local = normalize_sift_correspondences(
+                scene.correspondences[spanning_indices(scene, 3, rng)], scene.k1, scene.k2)
+            rows = np.empty((6, 9))
+            rows[0::2] = epipolar_rows(local[:, [0, 1, 4, 5]])
+            rows[1::2] = sift_rows(local)
+            blocks.append(rows)
+        # refused samples in mid-block: all-zero rows and a repeated correspondence
+        blocks.insert(3, np.zeros((6, 9)))
+        blocks.insert(7, np.tile(blocks[0][:2], (3, 1)))
+        rows = np.stack(blocks)
+        batched = essential_3sift_batch(rows)
+        refused = [i for i, result in enumerate(batched) if isinstance(result, Exception)]
+        assert refused == [3, 7]
+        for i, result in enumerate(batched):
+            alone = essential_3sift_batch(rows[i:i + 1])[0]
+            if i in refused:
+                assert type(alone) is type(result) is DegenerateSampleError
+                assert str(alone) == str(result)
+                continue
+            assert np.array_equal(alone[0], result[0])
+            assert np.array_equal(alone[1]["y"], result[1]["y"])
+            assert (alone[1]["alpha"], alone[1]["beta"]) == (result[1]["alpha"],
+                                                             result[1]["beta"])
+
     @staticmethod
     def _calls(scene):
         return {
             "f7pt": lambda corr: solve_f_7pt(corr),
             "f4sift": lambda corr: solve_f_4sift(corr),
+            "e3sift": lambda corr: solve_e_3sift(corr, scene.k1, scene.k2),
             "e5pt": lambda corr: solve_e_5pt(corr, scene.k1, scene.k2),
         }
 
-    @pytest.mark.parametrize("solver_id,size", [("f7pt", 7), ("f4sift", 4), ("e5pt", 5)])
+    @pytest.mark.parametrize("solver_id,size",
+                             [("f7pt", 7), ("f4sift", 4), ("e3sift", 3), ("e5pt", 5)])
     def test_rank_deficient_sample_refused(self, scene, solver_id, size):
         sample = scene.correspondences[[0] * size]  # one correspondence repeated
         with pytest.raises(DegenerateSampleError):
             self._calls(scene)[solver_id](sample)
 
-    @pytest.mark.parametrize("solver_id,size", [("f7pt", 7), ("f4sift", 4), ("e5pt", 5)])
+    @pytest.mark.parametrize("solver_id,size",
+                             [("f7pt", 7), ("f4sift", 4), ("e3sift", 3), ("e5pt", 5)])
     def test_all_zero_rows_refused(self, scene, solver_id, size, monkeypatch):
         monkeypatch.setattr(solvers_module, "epipolar_rows",
                             lambda pairs: np.zeros((pairs.shape[0], 9)))
@@ -330,6 +364,58 @@ class TestSingleCore:
         sample = scene.correspondences[spanning_indices(scene, size, rng)]
         with pytest.raises(DegenerateSampleError):
             self._calls(scene)[solver_id](sample)
+
+
+class TestPolisher:
+    """The one Gauss-Newton polisher every minimal solver refines through."""
+
+    @pytest.mark.parametrize("basis,nvars", [(_poly.BIVARIATE_BASIS, 2),
+                                             (_poly.TRIVARIATE_BASIS, 3),
+                                             (_poly.SEMICALIBRATED_BASIS, 3)])
+    def test_gradient_matches_central_differences(self, basis, nvars):
+        monomials, gradient = basis
+        states = np.random.default_rng(26).uniform(-2.0, 2.0, (5, nvars))
+        step = 1e-6
+        for k in range(nvars):
+            delta = np.zeros(nvars)
+            delta[k] = step
+            numeric = (monomials(states + delta) - monomials(states - delta)) / (2 * step)
+            np.testing.assert_allclose(gradient(states)[:, :, k], numeric, rtol=1e-8, atol=1e-8)
+
+    @staticmethod
+    def _system():
+        # x - 0.5, y + 0.25 and x^2 - 0.25 over the bivariate basis, root (0.5, -0.25)
+        system = np.zeros((3, 10))
+        system[0, [7, 9]] = 1.0, -0.5
+        system[1, [8, 9]] = 1.0, 0.25
+        system[2, [4, 9]] = 1.0, -0.25
+        return system
+
+    def test_converged_start_is_left_alone(self):
+        system = self._system()
+        # the first start is converged (squared residual below 1e-28) yet
+        # not exact, so one more step would still move it
+        starts = np.array([[0.5 + 4e-15, -0.25], [0.9, 0.3], [0.5, -0.25]])
+        systems = np.broadcast_to(system, (3, 3, 10))
+        residual = system @ _poly.bivariate_monomials_batch(starts[:1])[0]
+        assert 0.0 < residual @ residual <= 1e-28
+        states, norms = _polish_batch(systems, starts, _poly.BIVARIATE_BASIS, 4)
+        assert np.array_equal(states[0], starts[0])
+        assert norms[0] == pytest.approx(math.sqrt(residual @ residual), rel=1e-12)
+        assert np.array_equal(states[2], starts[2]) and norms[2] == 0.0
+        assert not np.array_equal(states[1], starts[1])
+        np.testing.assert_allclose(states[1], [0.5, -0.25], atol=1e-9)
+
+    def test_singular_start_stops_alone(self):
+        # 1e10 (x + y) + 1: equal, large gradient columns make the damped
+        # normal equations exactly singular
+        singular = np.zeros((3, 10))
+        singular[0, [7, 8, 9]] = 1e10, 1e10, 1.0
+        systems = np.stack([singular, self._system()])
+        starts = np.array([[0.3, 0.2], [0.9, 0.3]])
+        states, _ = _polish_batch(systems, starts, _poly.BIVARIATE_BASIS, 4)
+        assert np.array_equal(states[0], starts[0])
+        np.testing.assert_allclose(states[1], [0.5, -0.25], atol=1e-9)
 
 
 class TestFocalSolvers:
