@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 usage (including wrong sample size), 3 malformed
-input file, 4 degenerate sample / no model. Every command that consumes
+input file, 4 degenerate sample / no model from `solve`; `ransac` reports no
+model as a `failed` row and exits 0. Every command that consumes
 randomness takes --seed; worker counts come from the SIFTPOSE_WORKERS
 environment variable. --fixed-clock reports timing fields as zero so output
 files are bitwise reproducible.
@@ -13,8 +14,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import bench
 from .errors import ParseError, SolverError
 from .fileio import (
@@ -25,7 +24,6 @@ from .fileio import (
     write_benchmark_rows,
     write_solutions,
 )
-from .geometry import CameraIntrinsics
 from .robust import RansacConfig, make_problem, ransac
 from .solvers import FocalModel, run_minimal_solver, solver_info
 
@@ -87,25 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_intrinsics(meta_path):
-    if meta_path is None:
-        return None
-    return read_metadata(meta_path)
-
-
-def _solver_context(problem: str, meta):
-    """(k1, k2, principal_point) for a solver; identity/origin without metadata."""
-    info = solver_info(problem)
-    if info.family == "e":
-        if meta is not None and meta.k1 is not None and meta.k2 is not None:
-            return (CameraIntrinsics.from_matrix(meta.k1),
-                    CameraIntrinsics.from_matrix(meta.k2), None)
-        return CameraIntrinsics(1.0, 1.0, 0.0, 0.0), CameraIntrinsics(1.0, 1.0, 0.0, 0.0), None
-    if info.family == "ff":
-        if meta is not None and meta.k1 is not None:
-            return None, None, meta.principal_point
-        return None, None, np.zeros(2)
-    return None, None, None
+def _intrinsics(meta):
+    """(k1, k2, principal_point) of the metadata, None where it has no intrinsics."""
+    if meta is None or meta.k1 is None:
+        return None, None, None
+    return meta.k1, meta.k2, meta.principal_point
 
 
 def cmd_solve(args) -> int:
@@ -114,8 +98,7 @@ def cmd_solve(args) -> int:
     if corr.shape[0] != info.sample_size:
         raise UsageError(f"{args.problem} needs exactly {info.sample_size} records, "
                          f"got {corr.shape[0]}")
-    meta = _load_intrinsics(args.meta)
-    k1, k2, pp = _solver_context(args.problem, meta)
+    k1, k2, pp = _intrinsics(read_metadata(args.meta) if args.meta else None)
     output = run_minimal_solver(args.problem, corr, k1=k1, k2=k2, principal_point=pp)
     if len(output.models) == 0:
         raise SolverError("no model produced")
@@ -137,25 +120,24 @@ def cmd_solve(args) -> int:
 
 
 def cmd_ransac(args) -> int:
+    try:
+        config = RansacConfig(confidence=args.confidence, max_iterations=args.max_iters,
+                              threshold=args.threshold, lo_enabled=args.lo == "on",
+                              seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     corr = read_correspondences(args.input)
     info = solver_info(args.problem)
     if corr.shape[0] < info.sample_size:
         raise UsageError(f"{args.problem} needs at least {info.sample_size} records")
-    meta = _load_intrinsics(args.meta)
+    meta = read_metadata(args.meta) if args.meta else None
     if info.family in ("e", "ff") and meta is None:
         raise UsageError("essential/semi-calibrated estimation requires --meta intrinsics")
-
-    if info.family == "e":
-        k1, k2 = meta.intrinsics()
-        problem = make_problem(args.problem, corr, k1=k1, k2=k2)
-    elif info.family == "ff":
-        problem = make_problem(args.problem, corr, principal_point=meta.principal_point)
-    else:
-        problem = make_problem(args.problem, corr)
-
-    config = RansacConfig(confidence=args.confidence, max_iterations=args.max_iters,
-                          threshold=args.threshold, lo_enabled=args.lo == "on",
-                          seed=args.seed)
+    k1, k2, pp = _intrinsics(meta)
+    try:
+        problem = make_problem(args.problem, corr, k1=k1, k2=k2, principal_point=pp)
+    except ValueError as exc:  # intrinsics the metadata lacks or holds malformed
+        raise UsageError(str(exc)) from None
     report = ransac(problem, config)
     wall_ms = 0.0 if args.fixed_clock else report.wall_time * 1000.0
 

@@ -21,20 +21,12 @@ import numpy as np
 
 from .constraints import epipolar_rows, sift_rows
 from .errors import SolverError
-from .geometry import EssentialMatrix, FundamentalMatrix, normalize_pairs
 from .solvers import (
-    FocalModel,
-    _apply_similarity,
-    _intrinsics,
-    _semicalibrated_setup,
-    _similarity,
-    _solve_semicalibrated_rows,
-    _transform_sift,
+    CalibratedFrame,
+    _as_matrix,
     as_sift_array,
-    essential_3sift_batch,
-    essential_candidates_batch,
-    normalize_sift_correspondences,
-    rank2_candidates_batch,
+    common_scale_frame,
+    semicalibrated_frame,
     solve_f_8pt,
     solver_info,
 )
@@ -55,6 +47,8 @@ class RansacConfig:
             raise ValueError("confidence must be in (0, 1)")
         if not self.threshold > 0.0:
             raise ValueError("threshold must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
 
 
 @dataclass
@@ -175,47 +169,25 @@ def _epipolar_errors(p1h: np.ndarray, p2h: np.ndarray, m: np.ndarray) -> np.ndar
     return err if m.ndim == 3 else err[0]
 
 
-def _common_scale_similarity(points1: np.ndarray, points2: np.ndarray):
-    """Per-image translations with one shared isotropic scale.
-
-    A shared scale keeps the symmetric epipolar error an exact multiple of
-    its pixel value, so thresholds transfer by the same factor.
-    """
-    c1 = points1.mean(axis=0)
-    c2 = points2.mean(axis=0)
-    spread = 0.5 * (np.mean(np.linalg.norm(points1 - c1, axis=1))
-                    + np.mean(np.linalg.norm(points2 - c2, axis=1)))
-    s = math.sqrt(2.0) / spread if spread > 1e-12 else 1.0
-    return _similarity(c1, s), _similarity(c2, s), s
-
-
-def _as_matrix(model) -> np.ndarray:
-    if isinstance(model, (FundamentalMatrix, EssentialMatrix)):
-        return model.m
-    if isinstance(model, tuple):  # FocalProblem's (matrix, focal)
-        return model[0]
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Problem adapters: data plus solver family behind a uniform surface
 # ---------------------------------------------------------------------------
 
 class _EpipolarProblem:
-    """Set-up, sample rows and scoring shared by the adapters.
+    """Set-up, minimal solves, scoring and finalizing shared by the adapters.
 
-    A subclass names its solver `family` and `min_lo_inliers`, and owns its
-    frame: `_frame` fixes the preconditioning from the pixel point pairs and
-    sets `threshold_factor` (frame units per pixel of epipolar error), and
-    `_local_sift`/`_local_pairs` carry packed correspondences/point pairs
-    into the frame. The default frame is the similarity pair (t1, t2).
-    Scoring is the symmetric epipolar error on the frame's `pairs`.
+    A subclass names its solver `family` and `min_lo_inliers` and passes a
+    frame builder, which fixes the preconditioning from the pixel point
+    pairs. The frame carries the data in once, gives `threshold_factor`
+    (its scale: frame units per pixel of epipolar error) and maps the best
+    raw model back out at finalize. Scoring is the symmetric epipolar error
+    on the frame's `pairs`.
     """
 
     family: str
     min_lo_inliers: int
 
-    def __init__(self, corr, solver_id: str):
+    def __init__(self, corr, solver_id: str, make_frame):
         info = solver_info(solver_id)
         if info.family != self.family:
             raise ValueError(f"{solver_id} is not a solver of the '{self.family}' family")
@@ -227,51 +199,31 @@ class _EpipolarProblem:
         if info.uses_orientation and not has_features:
             raise ValueError(f"{solver_id} needs orientation/scale columns")
         pixel_pairs = corr[:, [0, 1, 4, 5]] if has_features else corr[:, :4]
-        self._frame(pixel_pairs)
-        self.feature_rows = None
-        if has_features:
-            local = self._local_sift(corr)
-            self.pairs = local[:, [0, 1, 4, 5]]
-            if info.uses_orientation:
-                self.feature_rows = sift_rows(local)
-        else:
-            self.pairs = self._local_pairs(pixel_pairs)
+        self.frame = make_frame(pixel_pairs)
+        self.threshold_factor = self.frame.scale
+        local = self.frame.local(corr if has_features else pixel_pairs)
+        self.pairs = local[:, [0, 1, 4, 5]] if has_features else local
+        self.feature_rows = sift_rows(local) if info.uses_orientation else None
         self.point_rows = epipolar_rows(self.pairs)
         ones = np.ones((self.pairs.shape[0], 1))
         self.p1h = np.hstack([self.pairs[:, :2], ones])
         self.p2h = np.hstack([self.pairs[:, 2:4], ones])
+        self.info = info
         self.solver_id = solver_id
         self.sample_size = info.sample_size
         # collinear samples are degenerate only for the uncalibrated families
         self.sample_degenerate = _DegeneracyIndex(pixel_pairs, self.family != "e")
 
-    def _local_sift(self, corr: np.ndarray) -> np.ndarray:
-        return _transform_sift(corr, self.t1, self.t2)
-
-    def _local_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        return np.hstack([_apply_similarity(pairs[:, :2], self.t1),
-                          _apply_similarity(pairs[:, 2:4], self.t2)])
-
-    def _sample_rows(self, idx_block: np.ndarray) -> np.ndarray:
-        """Constraint rows (B, r, 9) of index sets (B, m), in the solver core's layout.
-
-        f4sift appends the feature rows of the first three correspondences
-        to the four point rows, e3sift and ff3sift interleave point and
-        feature rows, and the point solvers take point rows only.
-        """
-        points = self.point_rows[idx_block]
-        if self.feature_rows is None:
-            return points
-        if self.solver_id == "f4sift":
-            return np.concatenate([points, self.feature_rows[idx_block[:, :3]]], axis=1)
-        rows = np.empty((idx_block.shape[0], 2 * idx_block.shape[1], 9))
-        rows[:, 0::2] = points
-        rows[:, 1::2] = self.feature_rows[idx_block]
-        return rows
-
     @property
     def size(self) -> int:
         return self.pairs.shape[0]
+
+    def solve_minimal_batch(self, idx_block: np.ndarray):
+        """Raw models of each index set of a block (B, m); none where the core refuses it."""
+        features = None if self.feature_rows is None else self.feature_rows[idx_block]
+        rows = self.info.rows(self.point_rows[idx_block], features)
+        return [[] if isinstance(result, Exception) else result[0]
+                for result in self.info.core(rows)]
 
     def errors(self, model) -> np.ndarray:
         return _epipolar_errors(self.p1h, self.p2h, _as_matrix(model))
@@ -281,34 +233,27 @@ class _EpipolarProblem:
         return _epipolar_errors(self.p1h, self.p2h,
                                 np.stack([_as_matrix(model) for model in models]))
 
+    def finalize(self, model):
+        return self.frame.model(model)
+
 
 class FundamentalProblem(_EpipolarProblem):
     """Uncalibrated estimation; plug-in minimal solver f4sift or f7pt.
 
-    Internally works in a shared-similarity frame; models are mapped back to
-    pixel coordinates only when the report is finalized.
+    Internally works in a shared-scale similarity frame; models are mapped
+    back to pixel coordinates only when the report is finalized.
     """
 
     family = "f"
     min_lo_inliers = 8
 
     def __init__(self, corr, solver_id: str = "f4sift"):
-        super().__init__(corr, solver_id)
-
-    def _frame(self, pixel_pairs):
-        self.t1, self.t2, self.threshold_factor = _common_scale_similarity(
-            pixel_pairs[:, :2], pixel_pairs[:, 2:4])
-
-    def solve_minimal_batch(self, idx_block: np.ndarray):
-        return rank2_candidates_batch(self._sample_rows(idx_block))
+        super().__init__(corr, solver_id, common_scale_frame)
 
     def refit(self, model, inlier_idx):
         if inlier_idx.shape[0] < self.min_lo_inliers:
             return None
         return solve_f_8pt(self.pairs[inlier_idx]).m
-
-    def finalize(self, model):
-        return FundamentalMatrix.from_array(self.t2.T @ _as_matrix(model) @ self.t1)
 
 
 class EssentialProblem(_EpipolarProblem):
@@ -322,25 +267,7 @@ class EssentialProblem(_EpipolarProblem):
     min_lo_inliers = 6
 
     def __init__(self, corr, k1, k2, solver_id: str = "e3sift"):
-        self.k1 = _intrinsics(k1)
-        self.k2 = _intrinsics(k2)
-        super().__init__(corr, solver_id)
-
-    def _frame(self, pixel_pairs):
-        self.threshold_factor = 4.0 / (self.k1.fx + self.k1.fy + self.k2.fx + self.k2.fy)
-
-    def _local_sift(self, corr):
-        return normalize_sift_correspondences(corr, self.k1, self.k2)
-
-    def _local_pairs(self, pairs):
-        return normalize_pairs(pairs, self.k1, self.k2)
-
-    def solve_minimal_batch(self, idx_block: np.ndarray):
-        rows = self._sample_rows(idx_block)
-        if self.solver_id == "e5pt":
-            return essential_candidates_batch(rows)[0]
-        return [[] if isinstance(result, Exception) else [result[0]]
-                for result in essential_3sift_batch(rows)]
+        super().__init__(corr, solver_id, lambda pairs: CalibratedFrame(k1, k2))
 
     def refit(self, model, inlier_idx):
         # raw least-squares fit; scoring keeps the raw output and the manifold
@@ -354,7 +281,7 @@ class EssentialProblem(_EpipolarProblem):
         return vt[-1].reshape(3, 3)
 
     def finalize(self, model):
-        return EssentialMatrix.from_array(_as_matrix(model)).projected()
+        return super().finalize(model).projected()
 
 
 class FocalProblem(_EpipolarProblem):
@@ -370,31 +297,11 @@ class FocalProblem(_EpipolarProblem):
     min_lo_inliers = 8
 
     def __init__(self, corr, principal_point, solver_id: str = "ff3sift"):
-        self.principal_point = principal_point
-        super().__init__(corr, solver_id)
-
-    def _frame(self, pixel_pairs):
-        t, self.threshold_factor = _semicalibrated_setup(
-            pixel_pairs[:, :2], pixel_pairs[:, 2:4], self.principal_point)
-        self.t1 = self.t2 = t
-
-    def solve_minimal_batch(self, idx_block: np.ndarray):
-        # one sample at a time; a refused sample has no model
-        out = []
-        for rows in self._sample_rows(idx_block):
-            try:
-                out.append([(f, focal) for f, focal, _ in _solve_semicalibrated_rows(rows)])
-            except (SolverError, ValueError):
-                out.append([])
-        return out
+        super().__init__(corr, solver_id,
+                         lambda pairs: semicalibrated_frame(pairs, principal_point))
 
     def refit(self, model, inlier_idx):
         return None
-
-    def finalize(self, model):
-        mat, focal = model
-        fundamental = FundamentalMatrix.from_array(self.t1.T @ mat @ self.t1)
-        return FocalModel(fundamental, focal / self.threshold_factor)
 
 
 def make_problem(solver_id: str, corr, k1=None, k2=None, principal_point=None):

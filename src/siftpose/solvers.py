@@ -9,6 +9,7 @@ numbers.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,16 +202,6 @@ def _apply_similarity(points: np.ndarray, t: np.ndarray) -> np.ndarray:
     return points @ t[:2, :2].T + t[:2, 2]
 
 
-def _transform_sift(corr: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Carry packed correspondences through per-image isotropic similarities."""
-    out = corr.copy()
-    out[:, 0:2] = _apply_similarity(corr[:, 0:2], t1)
-    out[:, 4:6] = _apply_similarity(corr[:, 4:6], t2)
-    out[:, 2] = corr[:, 2] * t1[0, 0]
-    out[:, 6] = corr[:, 6] * t2[0, 0]
-    return out
-
-
 def _trace_det_residual(e: np.ndarray) -> np.ndarray:
     """The nine entries of E E^T E - 0.5 tr(E E^T) E plus det E."""
     eet = e @ e.T
@@ -282,10 +273,6 @@ def _polish_batch(systems: np.ndarray, states: np.ndarray, basis, iterations: in
             scale *= 0.5
         live &= ~remaining
     return states, np.sqrt(size)
-
-
-def _system_residuals(rows: np.ndarray, model_matrix: np.ndarray) -> float:
-    return float(np.max(normalized_residuals(rows, model_matrix.reshape(-1))))
 
 
 # ---------------------------------------------------------------------------
@@ -426,70 +413,26 @@ def essential_candidates_batch(rows: np.ndarray) -> tuple[list, np.ndarray]:
 # Fundamental matrix solvers
 # ---------------------------------------------------------------------------
 
-def _hartley_pairs(pairs: np.ndarray):
-    """Point pairs carried into per-image Hartley frames, plus the two similarities."""
-    t1 = _hartley_similarity(pairs[:, :2])
-    t2 = _hartley_similarity(pairs[:, 2:4])
-    return np.hstack([_apply_similarity(pairs[:, :2], t1),
-                      _apply_similarity(pairs[:, 2:4], t2)]), t1, t2
-
-
-def _rank2_models(rows: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> list:
-    """Pixel fundamental matrices from one 7x9 system in the (t1, t2) frames."""
-    mats = rank2_candidates_batch(rows[None])[0]
-    if not mats:
-        raise DegenerateSampleError("sample does not determine a rank-2 model: rank-deficient "
-                                    "system, vacuous rank-2 condition or no real root")
-    return [FundamentalMatrix.from_array(t2.T @ m @ t1) for m in mats]
+def _rank2_core(rows: np.ndarray) -> list:
+    """rank2_candidates_batch per sample, refusing the samples without a model."""
+    return [(models, {}) if models else DegenerateSampleError(
+        "sample does not determine a rank-2 model: rank-deficient system, "
+        "vacuous rank-2 condition or no real root") for models in rank2_candidates_batch(rows)]
 
 
 def solve_f_7pt(pairs) -> SolverOutput:
     """Fundamental matrix candidates from exactly seven point pairs."""
-    pairs = as_pair_array(pairs)
-    if pairs.shape[0] != 7:
-        raise ValueError("the seven-point solver needs exactly 7 correspondences")
-    local, t1, t2 = _hartley_pairs(pairs)
-    models = _rank2_models(epipolar_rows(local), t1, t2)
-    pixel_rows = epipolar_rows(pairs)
-    return SolverOutput(models=models, null_space_dim=2,
-                        row_residuals=[_system_residuals(pixel_rows, f.m) for f in models])
+    return run_minimal_solver("f7pt", pairs)
 
 
-def solve_f_4sift(corr, use_best_conditioned: bool = False) -> SolverOutput:
+def solve_f_4sift(corr) -> SolverOutput:
     """Fundamental matrix candidates from four oriented/scaled correspondences.
 
-    Stacks the four point rows with three feature rows (the first three by
-    input order, or the best-conditioned triple when requested) and solves
-    the rank-2 condition on the two-dimensional null space.
+    Stacks the four point rows with the feature rows of the first three
+    correspondences and solves the rank-2 condition on the two-dimensional
+    null space.
     """
-    corr = as_sift_array(corr)
-    if corr.shape[0] != 4:
-        raise ValueError("this solver needs exactly 4 correspondences")
-    t1 = _hartley_similarity(corr[:, 0:2])
-    t2 = _hartley_similarity(corr[:, 4:6])
-    local = _transform_sift(corr, t1, t2)
-    point_rows = epipolar_rows(local[:, [0, 1, 4, 5]])
-    feature_rows = sift_rows(local)
-
-    if use_best_conditioned:
-        best_rows = None
-        best_gap = -1.0
-        for drop in range(4):
-            keep = [i for i in range(4) if i != drop]
-            rows = np.vstack([point_rows, feature_rows[keep]])
-            s = np.linalg.svd(rows, compute_uv=False)
-            gap = s[6] / s[0] if s[0] > 0 else 0.0
-            if gap > best_gap:
-                best_gap = gap
-                best_rows = rows
-        rows = best_rows
-    else:
-        rows = np.vstack([point_rows, feature_rows[:3]])
-
-    models = _rank2_models(rows, t1, t2)
-    pixel_rows = np.vstack([epipolar_rows(corr[:, [0, 1, 4, 5]]), sift_rows(corr)[:3]])
-    return SolverOutput(models=models, null_space_dim=2,
-                        row_residuals=[_system_residuals(pixel_rows, f.m) for f in models])
+    return run_minimal_solver("f4sift", corr)
 
 
 def solve_f_8pt(pairs) -> FundamentalMatrix:
@@ -497,8 +440,8 @@ def solve_f_8pt(pairs) -> FundamentalMatrix:
     pairs = as_pair_array(pairs)
     if pairs.shape[0] < 8:
         raise ValueError("at least 8 correspondences are required")
-    local, t1, t2 = _hartley_pairs(pairs)
-    rows = epipolar_rows(local)
+    frame = hartley_frame(pairs)
+    rows = epipolar_rows(frame.local(pairs))
     # vt needs all nine rows, which the reduced SVD of an 8x9 system lacks
     _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < 9)
     if s[7] < 1e-10 * s[0]:
@@ -506,7 +449,7 @@ def solve_f_8pt(pairs) -> FundamentalMatrix:
     f = vt[-1].reshape(3, 3)
     u, sig, vts = np.linalg.svd(f)
     f = u @ np.diag([sig[0], sig[1], 0.0]) @ vts
-    return FundamentalMatrix.from_array(t2.T @ f @ t1)
+    return frame.model(f)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +506,8 @@ def essential_3sift_batch(rows: np.ndarray) -> list:
     in least squares over the monomial vector; the best pair of null-space
     coefficients read from the monomial entries starts a damped Gauss-Newton,
     which runs for every solvable sample of the batch in lockstep. Returns
-    one entry per sample: the raw 3x3 matrix with the diagnostics y, alpha
-    and beta, or the exception that refused the sample.
+    one entry per sample: ([raw 3x3 matrix], {y, alpha, beta}), or the
+    exception that refused the sample.
     """
     out: list = []
     starts = []
@@ -581,9 +524,21 @@ def essential_3sift_batch(rows: np.ndarray) -> list:
         for i, entry in enumerate(out):
             if entry is None:
                 (n1, n2, n3), y, (alpha, beta) = next(solved)
-                out[i] = (alpha * n1 + beta * n2 + n3,
+                out[i] = ([alpha * n1 + beta * n2 + n3],
                           {"y": y, "alpha": float(alpha), "beta": float(beta)})
     return out
+
+
+def _five_point_core(rows: np.ndarray) -> list:
+    """essential_candidates_batch per sample, refusing the unsolvable ones."""
+    models, solvable = essential_candidates_batch(rows)
+    return [(found, {}) if ok else DegenerateSampleError(
+        "constraint system rank-deficient or leading monomial block singular; "
+        "sample does not determine the model") for found, ok in zip(models, solvable)]
+
+
+def _trace_diagnostics(models) -> dict:
+    return {"trace_residual": essential_residual(models[0])}
 
 
 def solve_e_3sift(corr, k1, k2) -> SolverOutput:
@@ -593,36 +548,12 @@ def solve_e_3sift(corr, k1, k2) -> SolverOutput:
     intrinsics; three point rows and three feature rows then feed the
     null-space plus trace-constraint core, as a batch of one.
     """
-    corr = as_sift_array(corr)
-    if corr.shape[0] != 3:
-        raise ValueError("this solver needs exactly 3 correspondences")
-    local = normalize_sift_correspondences(corr, k1, k2)
-    rows = np.empty((6, 9))
-    rows[0::2] = epipolar_rows(local[:, [0, 1, 4, 5]])
-    rows[1::2] = sift_rows(local)
-    result = essential_3sift_batch(rows[None])[0]
-    if isinstance(result, Exception):
-        raise result
-    raw, extras = result
-    e = EssentialMatrix.from_array(raw)
-    extras["trace_residual"] = essential_residual(e)
-    return SolverOutput(models=[e], null_space_dim=3,
-                        row_residuals=[_system_residuals(rows, e.m)], extras=extras)
+    return run_minimal_solver("e3sift", corr, k1, k2)
 
 
 def solve_e_5pt(pairs, k1, k2) -> SolverOutput:
     """Essential matrix candidates from five point pairs (action-matrix solver)."""
-    pairs = as_pair_array(pairs)
-    if pairs.shape[0] != 5:
-        raise ValueError("the five-point solver needs exactly 5 correspondences")
-    rows = epipolar_rows(normalize_pairs(pairs, k1, k2))
-    candidates, solvable = essential_candidates_batch(rows[None])
-    if not solvable[0]:
-        raise DegenerateSampleError("constraint system rank-deficient or leading monomial "
-                                    "block singular; sample does not determine the model")
-    models = [EssentialMatrix.from_array(e) for e in candidates[0]]
-    return SolverOutput(models=models, null_space_dim=4,
-                        row_residuals=[_system_residuals(rows, m.m) for m in models])
+    return run_minimal_solver("e5pt", pairs, k1, k2)
 
 
 # ---------------------------------------------------------------------------
@@ -775,25 +706,26 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
     return results[:15]
 
 
-def _semicalibrated_setup(points1: np.ndarray, points2: np.ndarray, principal_point):
-    """One similarity for both images: the principal point to the origin, unit mean radius."""
-    pp = np.asarray(principal_point, dtype=float).reshape(2)
-    spread = np.mean(np.linalg.norm(np.vstack([points1 - pp, points2 - pp]), axis=1))
-    s = 1.0 / spread if spread > 1e-12 else 1.0
-    return _similarity(pp, s), s
+def _semicalibrated_batch(rows: np.ndarray) -> list:
+    """Semi-calibrated core over samples (batch, r, 9), one sample at a time.
 
-
-def _semicalibrated_output(results, t: np.ndarray, s: float,
-                           pixel_rows: np.ndarray) -> SolverOutput:
-    if not results:
-        raise NoValidFocalError("no real solution with a positive focal length")
-    models = [FocalModel(FundamentalMatrix.from_array(t.T @ f @ t), focal / s)
-              for f, focal, _ in results]
-    return SolverOutput(
-        models=models, null_space_dim=3,
-        row_residuals=[_system_residuals(pixel_rows, m.fundamental.m) for m in models],
-        extras={"constraint_residuals": [r for _, _, r in results]},
-    )
+    Raw models are (F, focal) pairs in the frame, with the constraint
+    residuals as extras; a sample without a real positive-focal solution is
+    refused with NoValidFocalError.
+    """
+    out: list = []
+    for sample in rows:
+        try:
+            results = _solve_semicalibrated_rows(sample)
+        except (SolverError, ValueError) as exc:
+            out.append(exc)
+            continue
+        if not results:
+            out.append(NoValidFocalError("no real solution with a positive focal length"))
+            continue
+        out.append(([(f, focal) for f, focal, _ in results],
+                    {"constraint_residuals": [r for _, _, r in results]}))
+    return out
 
 
 def solve_f_focal_3sift(corr, principal_point) -> SolverOutput:
@@ -803,52 +735,167 @@ def solve_f_focal_3sift(corr, principal_point) -> SolverOutput:
     isotropically scaled for conditioning); three point rows plus three
     feature rows feed the semi-calibrated back-end.
     """
-    corr = as_sift_array(corr)
-    if corr.shape[0] != 3:
-        raise ValueError("this solver needs exactly 3 correspondences")
-    t, s = _semicalibrated_setup(corr[:, 0:2], corr[:, 4:6], principal_point)
-    local = _transform_sift(corr, t, t)
-    rows = np.empty((6, 9))
-    rows[0::2] = epipolar_rows(local[:, [0, 1, 4, 5]])
-    rows[1::2] = sift_rows(local)
-    results = _solve_semicalibrated_rows(rows)
-    pixel_rows = np.vstack([epipolar_rows(corr[:, [0, 1, 4, 5]]), sift_rows(corr)])
-    return _semicalibrated_output(results, t, s, pixel_rows)
+    return run_minimal_solver("ff3sift", corr, principal_point=principal_point)
 
 
 def solve_f_focal_6pt(pairs, principal_point) -> SolverOutput:
     """Fundamental matrix and shared focal length from six point pairs."""
-    pairs = as_pair_array(pairs)
-    if pairs.shape[0] != 6:
-        raise ValueError("the six-point solver needs exactly 6 correspondences")
-    t, s = _semicalibrated_setup(pairs[:, :2], pairs[:, 2:4], principal_point)
-    local = np.hstack([_apply_similarity(pairs[:, :2], t),
-                       _apply_similarity(pairs[:, 2:4], t)])
-    rows = epipolar_rows(local)
-    results = _solve_semicalibrated_rows(rows)
-    return _semicalibrated_output(results, t, s, epipolar_rows(pairs))
+    return run_minimal_solver("ff6pt", pairs, principal_point=principal_point)
 
 
 # ---------------------------------------------------------------------------
-# Registry used by the robust harness and the command line
+# Frames: the coordinates a solver core works in
+# ---------------------------------------------------------------------------
+
+def _as_matrix(model) -> np.ndarray:
+    """The 3x3 array of a model: F, E, FocalModel, a frame (F, focal) pair or an array."""
+    if isinstance(model, (FundamentalMatrix, EssentialMatrix)):
+        return model.m
+    if isinstance(model, tuple):
+        return model[0]
+    return model.fundamental.m if isinstance(model, FocalModel) else model
+
+
+@dataclass(frozen=True)
+class SimilarityFrame:
+    """Pixel coordinates through one isotropic similarity per image.
+
+    scale is the factor both similarities share (frame units per pixel), or
+    None when each image has its own. Models come back in pixels.
+    """
+
+    t1: np.ndarray
+    t2: np.ndarray
+    scale: float | None = None
+    models_in_pixels = True
+
+    def local(self, corr: np.ndarray) -> np.ndarray:
+        """Packed correspondences (n, 8) or point pairs (n, 4) in the frame."""
+        if corr.shape[1] == 4:
+            return np.hstack([_apply_similarity(corr[:, :2], self.t1),
+                              _apply_similarity(corr[:, 2:4], self.t2)])
+        out = corr.copy()
+        out[:, 0:2] = _apply_similarity(corr[:, 0:2], self.t1)
+        out[:, 4:6] = _apply_similarity(corr[:, 4:6], self.t2)
+        out[:, 2] = corr[:, 2] * self.t1[0, 0]
+        out[:, 6] = corr[:, 6] * self.t2[0, 0]
+        return out
+
+    def model(self, raw):
+        """A frame F as a pixel FundamentalMatrix, a frame (F, focal) as a FocalModel."""
+        if isinstance(raw, tuple):
+            mat, focal = raw
+            return FocalModel(FundamentalMatrix.from_array(self.t2.T @ mat @ self.t1),
+                              focal / self.scale)
+        return FundamentalMatrix.from_array(self.t2.T @ raw @ self.t1)
+
+
+@dataclass
+class CalibratedFrame:
+    """Normalized image coordinates: each image through its inverse intrinsics.
+
+    Models stay in the frame, as essential matrices.
+    """
+
+    k1: CameraIntrinsics
+    k2: CameraIntrinsics
+    models_in_pixels = False
+
+    def __post_init__(self):
+        self.k1 = _intrinsics(self.k1)
+        self.k2 = _intrinsics(self.k2)
+
+    @property
+    def scale(self) -> float:
+        """Frame units per pixel: the inverse of the mean of the four focal lengths."""
+        return 4.0 / (self.k1.fx + self.k1.fy + self.k2.fx + self.k2.fy)
+
+    def local(self, corr: np.ndarray) -> np.ndarray:
+        """Packed correspondences (n, 8) or point pairs (n, 4) in the frame."""
+        if corr.shape[1] == 8:
+            return normalize_sift_correspondences(corr, self.k1, self.k2)
+        return normalize_pairs(corr, self.k1, self.k2)
+
+    def model(self, raw) -> EssentialMatrix:
+        return EssentialMatrix.from_array(raw)
+
+
+def hartley_frame(pairs: np.ndarray) -> SimilarityFrame:
+    """Each image's centroid to the origin and its mean radius to sqrt(2)."""
+    return SimilarityFrame(_hartley_similarity(pairs[:, :2]), _hartley_similarity(pairs[:, 2:4]))
+
+
+def common_scale_frame(pairs: np.ndarray) -> SimilarityFrame:
+    """Per-image translations with one shared isotropic scale.
+
+    A shared scale keeps the symmetric epipolar error an exact multiple of
+    its pixel value, so thresholds transfer by the same factor.
+    """
+    c1 = pairs[:, :2].mean(axis=0)
+    c2 = pairs[:, 2:4].mean(axis=0)
+    spread = 0.5 * (np.mean(np.linalg.norm(pairs[:, :2] - c1, axis=1))
+                    + np.mean(np.linalg.norm(pairs[:, 2:4] - c2, axis=1)))
+    s = math.sqrt(2.0) / spread if spread > 1e-12 else 1.0
+    return SimilarityFrame(_similarity(c1, s), _similarity(c2, s), s)
+
+
+def semicalibrated_frame(pairs: np.ndarray, principal_point) -> SimilarityFrame:
+    """One similarity for both images: the principal point to the origin, unit mean radius."""
+    pp = np.asarray(principal_point, dtype=float).reshape(2)
+    spread = np.mean(np.linalg.norm(np.vstack([pairs[:, :2] - pp, pairs[:, 2:4] - pp]), axis=1))
+    s = 1.0 / spread if spread > 1e-12 else 1.0
+    t = _similarity(pp, s)
+    return SimilarityFrame(t, t, s)
+
+
+# ---------------------------------------------------------------------------
+# Registry: one entry per minimal solver, run by every caller
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SolverInfo:
+    """A minimal solver: its family, sample size, row layout and batched core.
+
+    layout places the feature rows: None (point rows only), "first3" (the
+    rows of the first three correspondences after the point rows) or
+    "interleaved" (point and feature rows alternate). core maps stacked
+    rows (batch, r, 9) in the solver's frame to one entry per sample:
+    (raw models, extras), or the exception that refuses the sample.
+    diagnostics adds extras from the framed models on the public path only.
+    """
+
     solver_id: str
     family: str  # "f", "e", or "ff"
     sample_size: int
-    uses_orientation: bool
+    null_space_dim: int
+    layout: str | None
+    core: Callable
+    diagnostics: Callable | None = None
+
+    @property
+    def uses_orientation(self) -> bool:
+        return self.layout is not None
+
+    def rows(self, point_rows: np.ndarray, feature_rows: np.ndarray | None) -> np.ndarray:
+        """The core's rows (batch, r, 9) from point and feature rows (batch, m, 9)."""
+        if self.layout is None:
+            return point_rows
+        if self.layout == "first3":
+            return np.concatenate([point_rows, feature_rows[:, :3]], axis=1)
+        rows = np.empty((point_rows.shape[0], 2 * point_rows.shape[1], 9))
+        rows[:, 0::2] = point_rows
+        rows[:, 1::2] = feature_rows
+        return rows
 
 
-MINIMAL_SOLVERS = {
-    "f4sift": SolverInfo("f4sift", "f", 4, True),
-    "f7pt": SolverInfo("f7pt", "f", 7, False),
-    "e3sift": SolverInfo("e3sift", "e", 3, True),
-    "e5pt": SolverInfo("e5pt", "e", 5, False),
-    "ff3sift": SolverInfo("ff3sift", "ff", 3, True),
-    "ff6pt": SolverInfo("ff6pt", "ff", 6, False),
-}
+MINIMAL_SOLVERS = {info.solver_id: info for info in (
+    SolverInfo("f4sift", "f", 4, 2, "first3", _rank2_core),
+    SolverInfo("f7pt", "f", 7, 2, None, _rank2_core),
+    SolverInfo("e3sift", "e", 3, 3, "interleaved", essential_3sift_batch, _trace_diagnostics),
+    SolverInfo("e5pt", "e", 5, 4, None, _five_point_core),
+    SolverInfo("ff3sift", "ff", 3, 3, "interleaved", _semicalibrated_batch),
+    SolverInfo("ff6pt", "ff", 6, 3, None, _semicalibrated_batch),
+)}
 
 
 def solver_info(solver_id: str) -> SolverInfo:
@@ -858,27 +905,48 @@ def solver_info(solver_id: str) -> SolverInfo:
         raise ValueError(f"unknown solver '{solver_id}'") from None
 
 
+def _stacked_rows(info: SolverInfo, corr: np.ndarray) -> np.ndarray:
+    """One sample's rows (1, r, 9) in the solver's layout, from (m, 8) or (m, 4) input."""
+    pairs = corr[:, [0, 1, 4, 5]] if corr.shape[1] == 8 else corr
+    features = sift_rows(corr)[None] if info.uses_orientation else None
+    return info.rows(epipolar_rows(pairs)[None], features)
+
+
 def run_minimal_solver(solver_id: str, corr, k1=None, k2=None,
                        principal_point=None) -> SolverOutput:
-    """Dispatch a packed correspondence sample to a minimal solver by id."""
+    """Solve one minimal sample with a solver by id, in a frame fitted to the sample.
+
+    The frame is Hartley's for the f family, the inverse intrinsics (identity
+    by default) for e and the principal point (the origin by default) for
+    ff. Raises the exception with which the core refuses the sample. Row
+    residuals are taken in the coordinates of the returned models.
+    """
     info = solver_info(solver_id)
     corr = as_sift_array(corr)
     if corr.shape[0] != info.sample_size:
         raise ValueError(f"{solver_id} needs exactly {info.sample_size} correspondences")
-    if info.solver_id == "f4sift":
-        return solve_f_4sift(corr)
-    if info.solver_id == "f7pt":
-        return solve_f_7pt(corr)
-    if info.solver_id == "e3sift":
-        return solve_e_3sift(corr, _default_k(k1), _default_k(k2))
-    if info.solver_id == "e5pt":
-        return solve_e_5pt(corr, _default_k(k1), _default_k(k2))
-    pp = (0.0, 0.0) if principal_point is None else principal_point
-    if info.solver_id == "ff3sift":
-        return solve_f_focal_3sift(corr, pp)
-    return solve_f_focal_6pt(corr, pp)
-
-
-def _default_k(k):
-    return CameraIntrinsics(1.0, 1.0, 0.0, 0.0) if k is None else k
-
+    pairs = as_pair_array(corr)
+    if not info.uses_orientation:
+        corr = pairs
+    if info.family == "f":
+        frame = hartley_frame(pairs)
+    elif info.family == "e":
+        identity = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
+        frame = CalibratedFrame(identity if k1 is None else k1, identity if k2 is None else k2)
+    else:
+        frame = semicalibrated_frame(pairs, (0.0, 0.0) if principal_point is None
+                                     else principal_point)
+    rows = _stacked_rows(info, frame.local(corr))
+    result = info.core(rows)[0]
+    if isinstance(result, Exception):
+        raise result
+    raw, extras = result
+    models = [frame.model(m) for m in raw]
+    if frame.models_in_pixels:
+        rows = _stacked_rows(info, corr)
+    residuals = [float(np.max(normalized_residuals(rows[0], _as_matrix(m).reshape(-1))))
+                 for m in models]
+    if info.diagnostics is not None:
+        extras.update(info.diagnostics(models))
+    return SolverOutput(models=models, null_space_dim=info.null_space_dim,
+                        row_residuals=residuals, extras=extras)

@@ -105,6 +105,35 @@ class TestRansacCommand:
         assert rows[0].status in ("ok", "failed")
         assert rows[0].iterations <= 1
 
+    @pytest.mark.parametrize("flag,value", [("--confidence", "2"), ("--confidence", "0"),
+                                            ("--threshold", "-1"), ("--threshold", "0"),
+                                            ("--max-iters", "-3")])
+    def test_invalid_config_is_usage_error(self, flag, value, capsys):
+        code = run_cli(["ransac", "--problem", "f7pt",
+                        "--input", os.path.join(FIXTURES, "ransac_f_demo.csv"), flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+    def test_zero_budget_writes_failed_row(self, tmp_path):
+        out = tmp_path / "report.csv"
+        code = run_cli(["ransac", "--problem", "f7pt",
+                        "--input", os.path.join(FIXTURES, "ransac_f_demo.csv"),
+                        "--max-iters", "0", "--output", str(out)])
+        assert code == 0
+        rows = read_benchmark_rows(out)
+        assert rows[0].status == "failed" and rows[0].iterations == 0
+        assert "# warnings: no model found" in out.read_text()
+
+    @pytest.mark.parametrize("problem", ["e3sift", "ff3sift"])
+    def test_meta_without_intrinsics_is_usage_error(self, tmp_path, problem):
+        meta = tmp_path / "pair.meta"
+        meta.write_text("dataset synthetic\n")
+        code = run_cli(["ransac", "--problem", problem,
+                        "--input", os.path.join(FIXTURES, "ransac_f_demo.csv"),
+                        "--meta", str(meta)])
+        assert code == 2
+
     def test_meta_required_for_essential(self):
         code = run_cli(["ransac", "--problem", "e3sift",
                         "--input", os.path.join(FIXTURES, "ransac_f_demo.csv")])

@@ -58,8 +58,8 @@ class TestScoring:
         for scene in scenes:
             problem = FundamentalProblem(scene.correspondences, "f7pt")
             threshold = 0.75 * problem.threshold_factor
-            truth = problem.t2.T.T @ scene.f.m  # map pixel F into the hat frame
-            truth = np.linalg.inv(problem.t2).T @ scene.f.m @ np.linalg.inv(problem.t1)
+            truth = problem.frame.t2.T.T @ scene.f.m  # map pixel F into the hat frame
+            truth = np.linalg.inv(problem.frame.t2).T @ scene.f.m @ np.linalg.inv(problem.frame.t1)
             true_score, _ = score_msac(problem.errors(truth), threshold)
             for _ in range(20):
                 random_model = rng.standard_normal((3, 3))
@@ -151,7 +151,7 @@ class TestLocalOptimize:
     def test_noise_free_fixpoint(self, scene):
         problem = FundamentalProblem(scene.correspondences, "f4sift")
         threshold = 0.75 * problem.threshold_factor
-        truth = np.linalg.inv(problem.t2).T @ scene.f.m @ np.linalg.inv(problem.t1)
+        truth = np.linalg.inv(problem.frame.t2).T @ scene.f.m @ np.linalg.inv(problem.frame.t1)
         truth /= np.linalg.norm(truth)
         _, inliers = score_msac(problem.errors(truth), threshold)
         model, score, out_inliers, rounds, history, warn = local_optimize(
@@ -205,7 +205,7 @@ class TestRansacEndToEnd:
         report = ransac(problem, config)
         assert report.success
         threshold = config.threshold * problem.threshold_factor
-        hat = np.linalg.inv(problem.t2).T @ report.model.m @ np.linalg.inv(problem.t1)
+        hat = np.linalg.inv(problem.frame.t2).T @ report.model.m @ np.linalg.inv(problem.frame.t1)
         errors = problem.errors(hat)
         assert np.all(errors[report.inliers] < threshold)
         outside = np.setdiff1d(np.arange(problem.size), report.inliers)
@@ -247,6 +247,13 @@ class TestRansacEndToEnd:
         problem = FundamentalProblem(scene.correspondences[:3], "f4sift")
         with pytest.raises(ValueError):
             ransac(problem, RansacConfig())
+
+    def test_iteration_budget_validation(self, scene):
+        with pytest.raises(ValueError, match="max_iterations"):
+            RansacConfig(max_iterations=-1)
+        report = ransac(FundamentalProblem(scene.correspondences, "f7pt"),
+                        RansacConfig(max_iterations=0))
+        assert not report.success and report.iterations_run == 0
 
     def test_make_problem_validation(self, scene):
         with pytest.raises(ValueError):

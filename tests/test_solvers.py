@@ -22,6 +22,7 @@ from siftpose.solvers import (
     rank2_candidates_batch,
     real_cubic_roots,
     run_minimal_solver,
+    semicalibrated_frame,
     solve_e_3sift,
     solve_e_5pt,
     solve_f_4sift,
@@ -29,7 +30,9 @@ from siftpose.solvers import (
     solve_f_8pt,
     solve_f_focal_3sift,
     solve_f_focal_6pt,
+    solver_info,
 )
+from siftpose.robust import make_problem
 from siftpose.synthetic import SyntheticConfig, add_noise, generate_scene
 
 from conftest import spanning_indices
@@ -103,12 +106,6 @@ class TestFundamentalSolvers:
         sample = scene.correspondences[[0, 0, 11, 13]]
         with pytest.raises(DegenerateSampleError):
             solve_f_4sift(sample)
-
-    def test_f4sift_best_conditioned_flag(self, scene):
-        rng = np.random.default_rng(4)
-        idx = spanning_indices(scene, 4, rng)
-        out = solve_f_4sift(scene.correspondences[idx], use_best_conditioned=True)
-        assert best_gap(out.models, scene.f) < 1e-8
 
     def test_f7pt_wrong_count(self, scene):
         with pytest.raises(ValueError):
@@ -332,7 +329,8 @@ class TestSingleCore:
                 assert type(alone) is type(result) is DegenerateSampleError
                 assert str(alone) == str(result)
                 continue
-            assert np.array_equal(alone[0], result[0])
+            assert len(alone[0]) == len(result[0]) == 1
+            assert np.array_equal(alone[0][0], result[0][0])
             assert np.array_equal(alone[1]["y"], result[1]["y"])
             assert (alone[1]["alpha"], alone[1]["beta"]) == (result[1]["alpha"],
                                                              result[1]["beta"])
@@ -455,19 +453,15 @@ class TestFocalSolvers:
                 assert res < 1e-8  # trace constraint of diag(f,f,1) F diag(f,f,1)
 
     def test_back_ends_shared(self):
-        # the point and feature variants run through one engine
-        import siftpose.robust as robust_module
-
-        assert solvers_module._solve_semicalibrated_rows is robust_module._solve_semicalibrated_rows
+        # the point and feature variants, public and robust, run through one core
+        assert (solver_info("ff3sift").core is solver_info("ff6pt").core
+                is solvers_module._semicalibrated_batch)
 
     def test_engine_deterministic_on_same_rows(self, scene):
         rng = np.random.default_rng(21)
         idx = spanning_indices(scene, 3, rng)
-        from siftpose.solvers import _semicalibrated_setup, _transform_sift
-
         corr = scene.correspondences[idx]
-        t, s = _semicalibrated_setup(corr[:, 0:2], corr[:, 4:6], scene.principal_point)
-        local = _transform_sift(corr, t, t)
+        local = semicalibrated_frame(corr[:, [0, 1, 4, 5]], scene.principal_point).local(corr)
         rows = np.empty((6, 9))
         rows[0::2] = epipolar_rows(local[:, [0, 1, 4, 5]])
         rows[1::2] = sift_rows(local)
@@ -495,3 +489,81 @@ class TestDispatch:
             run_minimal_solver("f4sift", scene.correspondences[:3])
         with pytest.raises(ValueError):
             run_minimal_solver("nope", scene.correspondences[:3])
+
+
+def _interleaved(points, features):
+    rows = np.empty((2 * points.shape[0], 9))
+    rows[0::2] = points
+    rows[1::2] = features
+    return rows
+
+
+class TestRegistry:
+    """Each solver's one registry entry, as every caller runs it."""
+
+    HAND_BUILT = {
+        "f4sift": lambda points, features: np.vstack([points, features[:3]]),
+        "f7pt": lambda points, features: points,
+        "e3sift": _interleaved,
+        "e5pt": lambda points, features: points,
+        "ff3sift": _interleaved,
+        "ff6pt": lambda points, features: points,
+    }
+
+    @staticmethod
+    def _kwargs(scene):
+        return {"k1": scene.k1, "k2": scene.k2, "principal_point": scene.principal_point}
+
+    @pytest.mark.parametrize("solver_id", list(HAND_BUILT))
+    def test_rows_reproduce_hand_built_layouts(self, scenes, solver_id):
+        info = solver_info(solver_id)
+        rng = np.random.default_rng(28)
+        samples = [scene.correspondences[spanning_indices(scene, info.sample_size, rng)]
+                   for scene in scenes[:3]]
+        points = np.stack([epipolar_rows(corr[:, [0, 1, 4, 5]]) for corr in samples])
+        features = np.stack([sift_rows(corr) for corr in samples])
+        rows = info.rows(points, features if info.uses_orientation else None)
+        for i in range(len(samples)):
+            assert np.array_equal(rows[i], self.HAND_BUILT[solver_id](points[i], features[i]))
+
+    def test_null_space_dims(self, scene):
+        rng = np.random.default_rng(29)
+        dims = {}
+        for solver_id, info in solvers_module.MINIMAL_SOLVERS.items():
+            corr = scene.correspondences[spanning_indices(scene, info.sample_size, rng)]
+            dims[solver_id] = run_minimal_solver(solver_id, corr, **self._kwargs(scene)).null_space_dim
+        assert dims == {"f4sift": 2, "f7pt": 2, "e3sift": 3, "e5pt": 4, "ff3sift": 3, "ff6pt": 3}
+
+    @pytest.mark.parametrize("solver_id", list(HAND_BUILT))
+    def test_refused_sample_mid_block(self, scene, solver_id):
+        problem = make_problem(solver_id, scene.correspondences, **self._kwargs(scene))
+        rng = np.random.default_rng(30)
+        draws = [spanning_indices(scene, problem.sample_size, rng) for _ in range(4)]
+        draws.insert(2, np.zeros(problem.sample_size, dtype=int))  # one correspondence repeated
+        block = np.stack(draws)
+        solved = problem.solve_minimal_batch(block)
+        assert solved[2] == []
+        for i in (0, 1, 3, 4):
+            alone = problem.solve_minimal_batch(block[i:i + 1])[0]
+            assert solved[i] and len(alone) == len(solved[i])
+            for a, b in zip(alone, solved[i]):
+                if isinstance(a, tuple):  # semi-calibrated (F, focal)
+                    assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+                else:
+                    assert np.array_equal(a, b)
+
+    def test_trace_residual_on_public_path_only(self, scene, monkeypatch):
+        calls = []
+        residual = solvers_module.essential_residual
+        monkeypatch.setattr(solvers_module, "essential_residual",
+                            lambda e: calls.append(e) or residual(e))
+        rng = np.random.default_rng(31)
+        problem = make_problem("e3sift", scene.correspondences, k1=scene.k1, k2=scene.k2)
+        solved = problem.solve_minimal_batch(
+            np.stack([spanning_indices(scene, 3, rng) for _ in range(4)]))
+        assert all(solved) and calls == []
+        corr = scene.correspondences[spanning_indices(scene, 3, rng)]
+        out = run_minimal_solver("e3sift", corr, k1=scene.k1, k2=scene.k2)
+        assert len(calls) == 1
+        assert set(out.extras) == {"y", "alpha", "beta", "trace_residual"}
+        assert out.extras["trace_residual"] == residual(out.models[0])
