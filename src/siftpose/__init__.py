@@ -35,26 +35,17 @@ from .geometry import (
     normalize_points,
     relative_focal_error,
     rotation_error,
-    symmetric_epipolar_error,
     symmetric_epipolar_errors,
     translation_error,
 )
 from .constraints import (
-    CoefficientRow,
-    CoefficientSystem,
-    Homography,
     JacobianDecomposition,
-    affine_from_homography,
-    affine_rows,
-    build_system,
     decompose_jacobian,
     decomposition_residuals,
-    epipolar_row,
     epipolar_rows,
     legacy_combined_residual,
     make_consistent_sift,
     sift_from_affine,
-    sift_row,
     sift_rows,
 )
 from .solvers import (
@@ -71,8 +62,8 @@ from .solvers import (
     solve_f_focal_3sift,
     solve_f_focal_6pt,
 )
-from .robust import (RansacConfig, RansacReport, degeneracy_check, local_optimize,
-                     make_problem, ransac, score_msac)
+from .robust import (RansacConfig, RansacReport, local_optimize, make_problem, ransac,
+                     score_msac)
 from .synthetic import SyntheticConfig, SyntheticScene, add_noise, generate_scene
 
 __version__ = "0.1.0"

@@ -12,8 +12,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import SolverError
-from .fileio import BenchmarkRow, PairMetadata, read_correspondences, read_metadata
+from .errors import ParseError, SolverError
+from .fileio import (BenchmarkRow, PairMetadata, open_input, read_correspondences,
+                     read_metadata)
 from .geometry import (
     CameraIntrinsics,
     decompose_essential,
@@ -49,26 +50,19 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def run_stability_experiment(trials: int, seed: int, out_path, solvers=STABILITY_SOLVERS,
-                             config: SyntheticConfig | None = None, workers=None) -> None:
+                             config: SyntheticConfig | None = None, workers=None,
+                             column: str = "log10_error") -> None:
+    """One row per (solver, trial) of a stability study.
+
+    column names the per-trial StabilityResult field written: "log10_error"
+    for the held-out error or "log10_focal_error" for the focal error.
+    """
     with open(out_path, "w") as handle:
-        handle.write("trial,solver,log10_error\n")
+        handle.write(f"trial,solver,{column}\n")
         for solver_id in solvers:
             result = stability_histogram(solver_id, trials, seed=seed, config=config,
                                          workers=resolve_workers(workers))
-            for trial, value in enumerate(result.log10_errors):
-                handle.write(f"{trial},{solver_id},{_fmt(value)}\n")
-
-
-def run_focal_stability_experiment(trials: int, seed: int, out_path,
-                                   solvers=FOCAL_SOLVERS,
-                                   config: SyntheticConfig | None = None,
-                                   workers=None) -> None:
-    with open(out_path, "w") as handle:
-        handle.write("trial,solver,log10_focal_error\n")
-        for solver_id in solvers:
-            result = stability_histogram(solver_id, trials, seed=seed, config=config,
-                                         workers=resolve_workers(workers))
-            for trial, value in enumerate(result.log10_focal_errors):
+            for trial, value in enumerate(getattr(result, column + "s")):
                 handle.write(f"{trial},{solver_id},{_fmt(value)}\n")
 
 
@@ -249,15 +243,13 @@ def read_manifest(path) -> list[tuple[str, str]]:
     """Each non-comment line: <correspondence file> <metadata file>, relative to the manifest."""
     base = os.path.dirname(os.path.abspath(path))
     pairs = []
-    with open(path) as handle:
+    with open_input(path) as handle:
         for line in handle:
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             parts = text.split()
             if len(parts) != 2:
-                from .errors import ParseError
-
                 raise ParseError("manifest lines need two paths", path=str(path))
             pairs.append((os.path.join(base, parts[0]), os.path.join(base, parts[1])))
     return pairs

@@ -24,6 +24,7 @@ from .fileio import (
     write_benchmark_rows,
     write_solutions,
 )
+from .geometry import CameraIntrinsics
 from .robust import RansacConfig, make_problem, ransac
 from .solvers import FocalModel, run_minimal_solver, solver_info
 
@@ -99,6 +100,11 @@ def cmd_solve(args) -> int:
         raise UsageError(f"{args.problem} needs exactly {info.sample_size} records, "
                          f"got {corr.shape[0]}")
     k1, k2, pp = _intrinsics(read_metadata(args.meta) if args.meta else None)
+    if info.family == "e" and k1 is not None:
+        try:
+            k1, k2 = CameraIntrinsics.from_matrix(k1), CameraIntrinsics.from_matrix(k2)
+        except ValueError as exc:  # malformed intrinsics in the metadata
+            raise UsageError(str(exc)) from None
     output = run_minimal_solver(args.problem, corr, k1=k1, k2=k2, principal_point=pp)
     if len(output.models) == 0:
         raise SolverError("no model produced")
@@ -172,17 +178,32 @@ def cmd_ransac(args) -> int:
     return 0
 
 
+def _sigma_levels(text: str) -> list[float]:
+    try:
+        sigmas = [float(s) for s in text.split(",") if s.strip() != ""]
+    except ValueError:
+        raise UsageError(f"--sigmas takes comma-separated numbers, got '{text}'") from None
+    if not all(math.isfinite(s) and s >= 0.0 for s in sigmas):
+        raise UsageError("noise levels must be finite and non-negative")
+    return sigmas
+
+
 def cmd_bench_synthetic(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
+    if not 0.0 < args.inlier_ratio <= 1.0:
+        raise UsageError("--inlier-ratio must lie in (0, 1]")
+    sigmas = _sigma_levels(args.sigmas)
     os.makedirs(args.out_dir, exist_ok=True)
     if args.experiment == "stability":
         bench.run_stability_experiment(args.trials, args.seed,
                                        os.path.join(args.out_dir, "stability.csv"))
     elif args.experiment == "focal-stability":
-        bench.run_focal_stability_experiment(args.trials, args.seed,
-                                             os.path.join(args.out_dir,
-                                                          "focal_stability.csv"))
+        bench.run_stability_experiment(args.trials, args.seed,
+                                       os.path.join(args.out_dir, "focal_stability.csv"),
+                                       solvers=bench.FOCAL_SOLVERS,
+                                       column="log10_focal_error")
     elif args.experiment == "noise":
-        sigmas = [float(s) for s in args.sigmas.split(",") if s.strip() != ""]
         bench.run_noise_experiment(args.trials, sigmas, args.seed,
                                    os.path.join(args.out_dir, "noise.csv"))
     else:

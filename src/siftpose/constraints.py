@@ -4,7 +4,8 @@ Every row is a 9-vector of coefficients on the row-major entries (f1 ... f9)
 of a 3x3 two-view matrix, so that row . vec(F) = 0 for consistent input.
 Three row families exist: the bilinear point (epipolar) row, the two rows of
 an affine correspondence, and the single row contributed by the orientation
-and scale of a covariant feature pair.
+and scale of a covariant feature pair. The point and feature row builders
+are batched: they take packed arrays and return one (n, 9) row block.
 """
 from __future__ import annotations
 
@@ -24,61 +25,11 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class CoefficientRow:
-    c: np.ndarray
-    tag: str = "epipolar"
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.shape != (9,) or not np.all(np.isfinite(c)):
-            raise ValueError("a coefficient row has nine finite entries")
-        object.__setattr__(self, "c", c)
-
-
-@dataclass(frozen=True)
-class CoefficientSystem:
-    """Stacked constraint rows with one provenance tag per row."""
-
-    rows: np.ndarray
-    tags: tuple[str, ...]
-
-    def __post_init__(self):
-        rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        if rows.shape[1] != 9:
-            raise ValueError("all rows must have width 9")
-        if len(self.tags) != rows.shape[0]:
-            raise ValueError("one tag per row required")
-        object.__setattr__(self, "rows", rows)
-
-    def residuals(self, f) -> np.ndarray:
-        """Row residuals normalized by row norm times model norm."""
-        vec = f.flat() if hasattr(f, "flat") and callable(f.flat) else np.asarray(f).reshape(-1)
-        return normalized_residuals(self.rows, np.asarray(vec, dtype=float))
-
-
 def normalized_residuals(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """|rows . vec| / (|row| |vec|) per row; a zero scale counts as one."""
     scale = np.linalg.norm(rows, axis=1) * np.linalg.norm(vec)
     scale = np.where(scale == 0.0, 1.0, scale)
     return np.abs(rows @ vec) / scale
-
-
-@dataclass(frozen=True)
-class Homography:
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("homography must be 3x3")
-        if abs(np.linalg.det(m)) < 1e-15:
-            raise ValueError("homography must be invertible")
-        object.__setattr__(self, "m", m)
-
-    def project(self, points: np.ndarray) -> np.ndarray:
-        mapped = homogenize(np.atleast_2d(np.asarray(points, dtype=float))) @ self.m.T
-        return mapped[:, :2] / mapped[:, 2:3]
 
 
 @dataclass(frozen=True)
@@ -133,13 +84,6 @@ def epipolar_rows(pairs: np.ndarray) -> np.ndarray:
     return np.stack([u2 * u1, u2 * v1, u2, v2 * u1, v2 * v1, v2, u1, v1, one], axis=1)
 
 
-def epipolar_row(pair) -> CoefficientRow:
-    if isinstance(pair, SiftCorrespondence):
-        pair = pair.point_pair()
-    return CoefficientRow(epipolar_rows(np.asarray(pair, dtype=float).reshape(1, 4))[0],
-                          tag="epipolar")
-
-
 def sift_rows(corr: np.ndarray) -> np.ndarray:
     """Orientation/scale rows for packed correspondences (n, 8).
 
@@ -168,10 +112,6 @@ def sift_rows(corr: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def sift_row(corr: SiftCorrespondence) -> CoefficientRow:
-    return CoefficientRow(sift_rows(corr.to_row().reshape(1, 8))[0], tag="sift")
-
-
 def affine_row_pair(ac: AffineCorrespondence) -> np.ndarray:
     """The two rows contributed by a local affinity; shape (2, 9)."""
     u1, v1 = ac.p1.u, ac.p1.v
@@ -181,32 +121,6 @@ def affine_row_pair(ac: AffineCorrespondence) -> np.ndarray:
         [u2 + a1 * u1, a1 * v1, a1, v2 + a3 * u1, a3 * v1, a3, 1.0, 0.0, 0.0],
         [a2 * u1, u2 + a2 * v1, a2, a4 * u1, v2 + a4 * v1, a4, 0.0, 1.0, 0.0],
     ])
-
-
-def affine_rows(ac: AffineCorrespondence) -> tuple[CoefficientRow, CoefficientRow]:
-    rows = affine_row_pair(ac)
-    return CoefficientRow(rows[0], tag="affine"), CoefficientRow(rows[1], tag="affine")
-
-
-def build_system(pairs=None, sift=None, affine=None) -> CoefficientSystem:
-    """Stack epipolar, SIFT, and affine rows into one system."""
-    rows = []
-    tags = []
-    if pairs is not None and len(pairs) > 0:
-        r = epipolar_rows(pairs)
-        rows.append(r)
-        tags += ["epipolar"] * r.shape[0]
-    if sift is not None and len(sift) > 0:
-        r = sift_rows(sift)
-        rows.append(r)
-        tags += ["sift"] * r.shape[0]
-    if affine is not None:
-        for ac in affine:
-            rows.append(affine_row_pair(ac))
-            tags += ["affine", "affine"]
-    if not rows:
-        raise ValueError("no constraints given")
-    return CoefficientSystem(np.vstack(rows), tuple(tags))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +134,7 @@ def affine_jacobians_of_homography(h, points: np.ndarray):
     a1 = (h1 - h7 u2)/s, a2 = (h2 - h8 u2)/s, a3 = (h4 - h7 v2)/s,
     a4 = (h5 - h8 v2)/s with projective depth s = u1 h7 + v1 h8 + h9.
     """
-    m = h.m if isinstance(h, Homography) else np.asarray(h, dtype=float)
+    m = np.asarray(h, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     u1, v1 = points[:, 0], points[:, 1]
     s = u1 * m[2, 0] + v1 * m[2, 1] + m[2, 2]
@@ -234,17 +148,6 @@ def affine_jacobians_of_homography(h, points: np.ndarray):
     jac[:, 1, 0] = (m[1, 0] - m[2, 0] * v2) / s
     jac[:, 1, 1] = (m[1, 1] - m[2, 1] * v2) / s
     return np.stack([u2, v2], axis=1), jac
-
-
-def affine_from_homography(h, p1) -> AffineCorrespondence:
-    """First-order linearization of the homography at p1."""
-    if isinstance(p1, ImagePoint):
-        pt = np.array([[p1.u, p1.v]])
-    else:
-        pt = np.asarray(p1, dtype=float).reshape(1, 2)
-    p2, jac = affine_jacobians_of_homography(h, pt)
-    return AffineCorrespondence(ImagePoint(pt[0, 0], pt[0, 1]),
-                                ImagePoint(p2[0, 0], p2[0, 1]), jac[0])
 
 
 def sift_from_affine(a: np.ndarray, alpha1: float, q1: float):
@@ -275,7 +178,7 @@ def decomposition_residuals(a, corr) -> tuple[float, float, float]:
     Returns (a2 a3 - a1 a4 + q^2, a3 c1 + a4 s1 - s2 q, a1 c1 + a2 s1 - c2 q)
     with q the relative scale.
     """
-    a = a.a if isinstance(a, AffineCorrespondence) else np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     alpha1, alpha2, q = _feature_params(corr)
     c1, s1 = math.cos(alpha1), math.sin(alpha1)
     c2, s2 = math.cos(alpha2), math.sin(alpha2)
@@ -291,7 +194,7 @@ def legacy_combined_residual(a, corr) -> float:
     Equals s2 * r_cos - c2 * r_sin of decomposition_residuals, so it vanishes
     whenever both circle residuals vanish; the converse fails.
     """
-    a = a.a if isinstance(a, AffineCorrespondence) else np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     alpha1, alpha2, _ = _feature_params(corr)
     c1, s1 = math.cos(alpha1), math.sin(alpha1)
     c2, s2 = math.cos(alpha2), math.sin(alpha2)
@@ -300,8 +203,6 @@ def legacy_combined_residual(a, corr) -> float:
 
 
 def _feature_params(corr) -> tuple[float, float, float]:
-    if isinstance(corr, SiftCorrespondence):
-        return corr.first.angle, corr.second.angle, corr.relative_scale
     alpha1, alpha2, q = corr
     if not q > 0.0:
         raise ValueError("relative scale must be positive")
@@ -312,28 +213,28 @@ def _feature_params(corr) -> tuple[float, float, float]:
 # Consistent-instance sampling (numerical oracle for the derived row)
 # ---------------------------------------------------------------------------
 
-def circle_compatible_angles(a: np.ndarray) -> np.ndarray | None:
-    """First-image orientations for which an affinity admits a feature pair.
+def circle_compatible_angles(affinities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-image orientations for which each affinity admits a feature pair.
 
     The scale and circle constraints can hold simultaneously only along
     directions d with ||A d|| = sqrt(det A); these are the null directions of
-    the indefinite form A^T A - det(A) I. Returns the two line angles in
-    [0, pi), or None when A is a similarity (every direction works).
+    the indefinite form A^T A - det(A) I, two lines v0 +- t v1 in its
+    eigenbasis. Takes orientation-preserving affinities (n, 2, 2) and returns
+    (angles (n, 2), free (n,)): the angles of the two lines in [-pi, pi], and
+    a mask of the similarities, for which every direction works.
     """
-    a = np.asarray(a, dtype=float)
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if det <= 0.0:
-        raise MirroredFeatureError("affinity is orientation-reversing (det <= 0)")
-    m = a.T @ a - det * np.eye(2)
-    if np.abs(m).max() < 1e-12 * max(1.0, det):
-        return None
-    w, v = np.linalg.eigh(m)
-    t = math.sqrt(max(-w[0], 0.0) / max(w[1], 1e-300))
-    angles = []
-    for sign in (1.0, -1.0):
-        u = v[:, 0] + sign * t * v[:, 1]
-        angles.append(math.atan2(u[1], u[0]) % math.pi)
-    return np.array(angles)
+    det = (affinities[:, 0, 0] * affinities[:, 1, 1]
+           - affinities[:, 0, 1] * affinities[:, 1, 0])
+    form = (np.einsum("nji,njk->nik", affinities, affinities)
+            - det[:, None, None] * np.eye(2))
+    w, v = np.linalg.eigh(form)
+    free = np.abs(w).max(axis=1) < 1e-12 * np.maximum(1.0, np.abs(det))
+    ratio = np.sqrt(np.maximum(-w[:, 0], 0.0) / np.maximum(w[:, 1], 1e-300))
+    angles = np.empty((affinities.shape[0], 2))
+    for col, sign in enumerate((1.0, -1.0)):
+        direction = v[:, :, 0] + (sign * ratio)[:, None] * v[:, :, 1]
+        angles[:, col] = np.arctan2(direction[:, 1], direction[:, 0])
+    return angles, free
 
 
 def make_consistent_sift(f, rng, point_scale: float = 500.0,
@@ -385,11 +286,11 @@ def sample_consistent_instance(f, rng, point_scale: float = 500.0, max_retries: 
                 break
         else:
             continue
-        lines = circle_compatible_angles(a)
-        if lines is None:
+        lines, free = circle_compatible_angles(a[None])
+        if free[0]:
             alpha1 = rng.uniform(0.0, 2.0 * math.pi)
         else:
-            alpha1 = wrap_angle(lines[rng.integers(2)] + rng.integers(2) * math.pi)
+            alpha1 = wrap_angle(lines[0, rng.integers(2)] + rng.integers(2) * math.pi)
         q1 = rng.uniform(0.5, 2.0)
         alpha2, q2, _ = sift_from_affine(a, alpha1, q1)
         corr = SiftCorrespondence(

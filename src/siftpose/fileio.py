@@ -23,6 +23,14 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
+def open_input(path):
+    """Open a text input file for reading; a path that cannot be opened is a ParseError."""
+    try:
+        return open(path)
+    except OSError as exc:
+        raise ParseError(f"cannot open: {exc.strerror or exc}", path=str(path)) from None
+
+
 # ---------------------------------------------------------------------------
 # Correspondence files: "# units=rad|deg" header, then 8 comma-separated
 # columns (u1, v1, scale1, angle1, u2, v2, scale2, angle2) per record.
@@ -35,8 +43,6 @@ def write_correspondences(path, corr: np.ndarray, units: str = "rad") -> None:
     out = corr.copy()
     if units == "deg":
         out[:, [3, 7]] = np.degrees(out[:, [3, 7]])
-    # file column order: u1 v1 scale1 angle1 u2 v2 scale2 angle2
-    out = out[:, [0, 1, 2, 3, 4, 5, 6, 7]]
     with open(path, "w") as handle:
         handle.write(f"# units={units}\n")
         for row in out:
@@ -47,7 +53,7 @@ def read_correspondences(path) -> np.ndarray:
     """Parse a correspondence file into a packed (n, 8) array, angles in radians."""
     rows = []
     units = None
-    with open(path) as handle:
+    with open_input(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text:
@@ -134,7 +140,7 @@ def write_metadata(path, meta: PairMetadata) -> None:
 
 def read_metadata(path) -> PairMetadata:
     meta = PairMetadata()
-    with open(path) as handle:
+    with open_input(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -149,6 +155,8 @@ def read_metadata(path) -> PairMetadata:
                     meta.gt_focal = float(rest)
                 except ValueError:
                     raise ParseError("non-numeric focal", path=str(path), line=lineno) from None
+                if not math.isfinite(meta.gt_focal):
+                    raise ParseError("non-finite value", path=str(path), line=lineno)
                 continue
             if key in _MATRIX_KEYS:
                 attr, count = _MATRIX_KEYS[key]
@@ -160,6 +168,8 @@ def read_metadata(path) -> PairMetadata:
                 if len(values) != count:
                     raise ParseError(f"{key} needs {count} numbers, got {len(values)}",
                                      path=str(path), line=lineno)
+                if not all(map(math.isfinite, values)):
+                    raise ParseError("non-finite value", path=str(path), line=lineno)
                 shape = (3, 3) if count == 9 else (3,)
                 setattr(meta, attr, np.array(values).reshape(shape))
                 continue

@@ -339,12 +339,6 @@ def symmetric_epipolar_errors(f, pairs: np.ndarray) -> np.ndarray:
     return err
 
 
-def symmetric_epipolar_error(f, pair) -> float:
-    if isinstance(pair, SiftCorrespondence):
-        pair = pair.point_pair()
-    return float(symmetric_epipolar_errors(f, np.asarray(pair, dtype=float).reshape(1, 4))[0])
-
-
 def rotation_error(r_est: np.ndarray, r_gt: np.ndarray) -> float:
     """Geodesic angle between two rotations, in degrees.
 

@@ -140,18 +140,6 @@ def sample_is_degenerate(pairs: np.ndarray, check_collinear: bool) -> bool:
     return not index.block(np.arange(pairs.shape[0])[None])[0]
 
 
-def degeneracy_check(sample: np.ndarray, kind: str) -> bool:
-    """True when a minimal sample is usable for the given problem family.
-
-    kind is "f", "ff", or "e"; collinearity only disqualifies the
-    uncalibrated families. The sample holds pixel point pairs (m, 4) or
-    packed correspondences (m, 8).
-    """
-    sample = np.asarray(sample, dtype=float)
-    pairs = sample[:, [0, 1, 4, 5]] if sample.shape[1] == 8 else sample[:, :4]
-    return not sample_is_degenerate(pairs, check_collinear=kind in ("f", "ff"))
-
-
 def _epipolar_errors(p1h: np.ndarray, p2h: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Symmetric epipolar errors: (n,) for one matrix (3, 3), (k, n) for a stack (k, 3, 3).
 
@@ -399,7 +387,7 @@ def ransac(problem, config: RansacConfig = RansacConfig()) -> RansacReport:
         # draw, solve and score a whole block at once; the loop below
         # consumes it sample by sample, in draw order
         keys = rng.random((block_size, n))
-        draws = np.argpartition(keys, m, axis=1)[:, :m]
+        draws = np.argpartition(keys, min(m, n - 1), axis=1)[:, :m]
         usable = problem.sample_degenerate.block(draws)
         solved = [[] for _ in range(block_size)]
         if np.any(usable):

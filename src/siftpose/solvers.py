@@ -27,7 +27,6 @@ from .geometry import (
     CameraIntrinsics,
     EssentialMatrix,
     FundamentalMatrix,
-    SiftCorrespondence,
     normalize_pairs,
 )
 
@@ -51,11 +50,7 @@ class SolverOutput:
 
 
 def as_sift_array(corr) -> np.ndarray:
-    """Accept an (n, 8) array or a sequence of SiftCorrespondence."""
-    if isinstance(corr, np.ndarray):
-        return np.atleast_2d(np.asarray(corr, dtype=float))
-    if len(corr) and isinstance(corr[0], SiftCorrespondence):
-        return np.stack([c.to_row() for c in corr])
+    """Packed correspondences (n, 8) or point pairs (n, 4) as a 2-D float array."""
     return np.atleast_2d(np.asarray(corr, dtype=float))
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constraints import affine_jacobians_of_homography, epipolar_rows, sift_rows
+from .constraints import (affine_jacobians_of_homography, circle_compatible_angles,
+                          epipolar_rows, normalized_residuals, sift_rows)
 from .errors import SolverError
 from .geometry import (
     CameraIntrinsics,
@@ -156,21 +157,13 @@ def _rotations(angles: np.ndarray) -> np.ndarray:
 def _compatible_first_angles(affinities: np.ndarray, rng) -> np.ndarray:
     """Random first-image orientations consistent with each affinity.
 
-    Scale and circle consistency restrict the first-image direction to the
-    null cone of A^T A - det(A) I (four angles per affinity); similarities
-    impose no restriction.
+    Draws one of the two null lines of circle_compatible_angles and one of
+    its two directions; similarities impose no restriction.
     """
+    lines, free = circle_compatible_angles(affinities)
     n = affinities.shape[0]
-    det = (affinities[:, 0, 0] * affinities[:, 1, 1]
-           - affinities[:, 0, 1] * affinities[:, 1, 0])
-    form = (np.einsum("nji,njk->nik", affinities, affinities)
-            - det[:, None, None] * np.eye(2))
-    w, v = np.linalg.eigh(form)
-    free = np.abs(w).max(axis=1) < 1e-12 * np.maximum(1.0, np.abs(det))
-    ratio = np.sqrt(np.maximum(-w[:, 0], 0.0) / np.maximum(w[:, 1], 1e-300))
     sign = rng.choice([-1.0, 1.0], size=n)
-    direction = v[:, :, 0] + (sign * ratio)[:, None] * v[:, :, 1]
-    angles = np.arctan2(direction[:, 1], direction[:, 0])
+    angles = np.where(sign > 0.0, lines[:, 0], lines[:, 1])
     angles = angles + rng.choice([0.0, math.pi], size=n)
     angles = np.mod(angles, 2.0 * math.pi)
     if np.any(free):
@@ -276,10 +269,8 @@ def _try_generate(config: SyntheticConfig, rng):
     f_gt = fundamental_from_pose(pose.rotation, pose.translation, k, k)
     e_gt = EssentialMatrix.from_array(k.matrix().T @ f_gt.m @ k.matrix())
 
-    vec = f_gt.flat()
     rows = np.vstack([epipolar_rows(corr[:, [0, 1, 4, 5]]), sift_rows(corr)])
-    residual = np.max(np.abs(rows @ vec) / np.linalg.norm(rows, axis=1))
-    if residual > 1e-10:
+    if np.max(normalized_residuals(rows, f_gt.flat())) > 1e-10:
         return None
 
     return SyntheticScene(

@@ -19,7 +19,6 @@ from siftpose.constraints import (
     decomposition_residuals,
     legacy_combined_residual,
     make_consistent_sift,
-    sift_row,
     sift_rows,
 )
 from siftpose.parallel import limit_worker_threads, worker_thread_limit
@@ -64,7 +63,7 @@ def test_criterion_1_elimination_oracle():
     for i in range(10_000):
         f = fs[i % len(fs)]
         corr = make_consistent_sift(f, rng)
-        row = sift_row(corr).c
+        row = sift_rows(corr.to_row()[None])[0]
         clean[i] = abs(row @ f.flat()) / np.linalg.norm(row)
         packed = corr.to_row()
         packed[7] += 1e-3

@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from siftpose.cli import main
 from siftpose.fileio import read_benchmark_rows, read_solutions
@@ -253,3 +255,139 @@ class TestConsoleEntry:
         result = subprocess.run([sys.executable, "-m", "siftpose.cli", "solve"],
                                 capture_output=True, text=True)
         assert result.returncode == 2
+
+
+class TestInputErrors:
+    """Malformed intrinsics and bad options exit 2; unreadable files exit 3."""
+
+    @pytest.mark.parametrize("k1", ["-800 0 600 0 800 400 0 0 1",
+                                    "800 0 600 5 800 400 0 0 1"])
+    def test_solve_malformed_intrinsics_is_usage_error(self, tmp_path, capsys, k1):
+        meta = tmp_path / "pair.meta"
+        meta.write_text(f"K1 {k1}\nK2 800 0 600 0 800 400 0 0 1\n")
+        code = run_cli(["solve", "--problem", "e3sift",
+                        "--input", os.path.join(FIXTURES, "e3sift_clean.csv"),
+                        "--meta", str(meta)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("line", ["K1 nan 0 600 0 800 400 0 0 1", "gt_focal inf"])
+    def test_non_finite_metadata_is_parse_error(self, tmp_path, capsys, line):
+        meta = tmp_path / "pair.meta"
+        meta.write_text(f"{line}\nK2 800 0 600 0 800 400 0 0 1\n")
+        code = run_cli(["solve", "--problem", "e3sift",
+                        "--input", os.path.join(FIXTURES, "e3sift_clean.csv"),
+                        "--meta", str(meta)])
+        assert code == 3
+        assert f"{meta}:1: non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--problem", "e3sift", "--input", "{missing}"],
+        ["solve", "--problem", "e3sift", "--input", "{e3sift}", "--meta", "{missing}"],
+        ["ransac", "--problem", "f7pt", "--input", "{missing}"],
+        ["bench-dataset", "--pairs", "{missing}", "--problem", "f", "--solvers", "f7pt",
+         "--out", "{out}"],
+    ])
+    def test_missing_file_is_parse_error(self, tmp_path, capsys, args):
+        paths = {"missing": str(tmp_path / "missing.txt"), "out": str(tmp_path / "out.csv"),
+                 "e3sift": os.path.join(FIXTURES, "e3sift_clean.csv")}
+        code = run_cli([arg.format(**paths) for arg in args])
+        assert code == 3
+        assert "cannot open" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--sigmas", "a"),
+                                            ("--sigmas", "-1"), ("--sigmas", "0,nan"),
+                                            ("--inlier-ratio", "1.5"),
+                                            ("--inlier-ratio", "0")])
+    def test_bench_synthetic_bad_option_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = run_cli(["bench-synthetic", "--experiment", "noise", f"{flag}={value}",
+                        "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "noise.csv").exists()
+
+
+def _fixture_rows(name):
+    with open(os.path.join(FIXTURES, name)) as handle:
+        return [line.strip().split(",") for line in handle if not line.startswith("#")]
+
+
+DEMO_ROWS = _fixture_rows("ransac_f_demo.csv")
+VALID_K = ["800", "0", "600", "0", "800", "400", "0", "0", "1"]
+bad_tokens = st.sampled_from(["nan", "inf", "-inf", "x", "", "-1", "0", "1e400"])
+headers = st.sampled_from(["# units=rad"] * 8 + ["# units=deg", "# units=grad", "", "# comment"])
+
+
+@st.composite
+def correspondence_files(draw):
+    """A correspondence file: a header, demo records, then a few corrupted fields."""
+    lines = [draw(headers)]
+    count = draw(st.sampled_from([3, 4, 5, 6, 7, 12, 12, 12, 0]))
+    start = draw(st.integers(0, len(DEMO_ROWS) - count))
+    records = [list(row) for row in DEMO_ROWS[start:start + count]]
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
+        if not records:
+            break
+        row = records[draw(st.integers(0, len(records) - 1))]
+        if draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(bad_tokens)
+        elif draw(st.booleans()):
+            row.append("1")
+        else:
+            row.pop()
+    return "\n".join(lines + [",".join(row) for row in records]) + "\n"
+
+
+@st.composite
+def metadata_files(draw):
+    """Pair metadata whose K lines may be missing, short, non-finite or malformed."""
+    lines = []
+    for key in ("K1", "K2"):
+        entries = list(VALID_K)
+        kind = draw(st.sampled_from(["valid"] * 10 + ["missing", "short", "token",
+                                                      "negative", "lower"]))
+        if kind == "missing":
+            continue
+        if kind == "short":
+            entries.pop()
+        elif kind == "token":
+            entries[draw(st.integers(0, 8))] = draw(bad_tokens)
+        elif kind == "negative":
+            entries[0] = "-800"
+        elif kind == "lower":
+            entries[3] = "5"
+        lines.append(key + " " + " ".join(entries))
+    extra = draw(st.sampled_from([None] * 3 + ["gt_focal 800", "gt_focal nan", "bogus 1"]))
+    if extra is not None:
+        lines.append(extra)
+    return "\n".join(lines) + "\n"
+
+
+class TestExitCodeTotality:
+    """Every fuzzed input ends in a documented exit code, never in an exception."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from(["solve", "ransac"]),
+           problem=st.sampled_from(["f4sift", "e3sift", "ff3sift", "f7pt", "e5pt", "ff6pt"]),
+           corr=st.sampled_from([True] * 7 + [False]).flatmap(
+               lambda present: correspondence_files() if present else st.none()),
+           meta=st.sampled_from(["file"] * 4 + ["none", "absent"]).flatmap(
+               lambda kind: metadata_files() if kind == "file" else st.just(kind)))
+    def test_documented_exit_codes(self, command, problem, corr, meta):
+        with tempfile.TemporaryDirectory() as tmp:
+            corr_path = os.path.join(tmp, "pair.csv")
+            if corr is not None:  # None leaves the file missing
+                with open(corr_path, "w") as handle:
+                    handle.write(corr)
+            args = [command, "--problem", problem, "--input", corr_path,
+                    "--output", os.path.join(tmp, "out.txt")]
+            if meta != "none":
+                meta_path = os.path.join(tmp, "pair.meta")
+                if meta != "absent":
+                    with open(meta_path, "w") as handle:
+                        handle.write(meta)
+                args += ["--meta", meta_path]
+            if command == "ransac":
+                args += ["--max-iters", "20"]
+            assert run_cli(args) in (0, 2, 3, 4)

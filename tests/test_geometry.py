@@ -20,7 +20,6 @@ from siftpose.geometry import (
     normalize_points,
     relative_focal_error,
     rotation_error,
-    symmetric_epipolar_error,
     symmetric_epipolar_errors,
     translation_error,
 )
@@ -80,7 +79,7 @@ class TestSymmetricEpipolarError:
         p1 = np.array([3.0, -7.0])
         line = epipolar_line(f, p1, "right")
         p2 = point_on_line(line, 50.0, rng)
-        assert symmetric_epipolar_error(f, [*p1, *p2]) < 1e-12
+        assert symmetric_epipolar_errors(f, np.array([[*p1, *p2]]))[0] < 1e-12
 
     def test_synthetic_scene_noise_free(self, scene):
         errors = symmetric_epipolar_errors(scene.f, scene.pairs)
@@ -104,7 +103,7 @@ class TestSymmetricEpipolarError:
             n1 = epipolar_line(f, displaced, "left").normal
             n2 = line.normal
             expected = 0.5 * (1.0 + np.linalg.norm(n2) / np.linalg.norm(n1))
-            got = symmetric_epipolar_error(f, [*p1, *displaced])
+            got = symmetric_epipolar_errors(f, np.array([[*p1, *displaced]]))[0]
             assert abs(got - expected) < 1e-9
             if 0.4 < expected <= 1.0:
                 checked += 1

@@ -18,6 +18,8 @@ from siftpose.robust import (
     score_msac,
 )
 
+from conftest import spanning_indices
+
 
 class TestTermination:
     def test_values_from_formula(self):
@@ -247,6 +249,13 @@ class TestRansacEndToEnd:
         problem = FundamentalProblem(scene.correspondences[:3], "f4sift")
         with pytest.raises(ValueError):
             ransac(problem, RansacConfig())
+
+    def test_exactly_one_sample(self, scene):
+        # with n == m every draw is the whole set, in some order
+        corr = scene.correspondences[spanning_indices(scene, 4, np.random.default_rng(0))]
+        report = ransac(FundamentalProblem(corr, "f4sift"), RansacConfig(max_iterations=5))
+        assert report.success and report.iterations_run >= 1
+        assert np.array_equal(report.inliers, np.arange(4))
 
     def test_iteration_budget_validation(self, scene):
         with pytest.raises(ValueError, match="max_iterations"):
