@@ -17,17 +17,11 @@ from .errors import (
     SolverError,
 )
 from .geometry import (
-    AffineCorrespondence,
     CameraIntrinsics,
-    EpipolarLine,
     EssentialMatrix,
     FundamentalMatrix,
-    ImagePoint,
     RelativePose,
-    SiftCorrespondence,
-    SiftFeature,
     decompose_essential,
-    epipolar_line,
     essential_from_fundamental,
     essential_from_pose,
     fundamental_from_essential,

@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .parallel import pool_map, resolve_workers
 from .robust import RansacConfig, make_problem, ransac
-from .solvers import FocalModel, solver_info
+from .solvers import solver_info
 from .synthetic import (
     SyntheticConfig,
     SyntheticScene,
@@ -117,6 +117,23 @@ def make_robust_instance(n_correspondences: int, inlier_ratio: float, sigma: flo
     return noisy, corr[order], mask[order]
 
 
+def _ground_truth(scene_or_meta):
+    """(k1, k2, principal point, rotation, translation, focal) of a scene or pair metadata.
+
+    Metadata intrinsics come back as CameraIntrinsics; None marks what the
+    metadata lacks, and the principal point is K1's.
+    """
+    if isinstance(scene_or_meta, SyntheticScene):
+        scene = scene_or_meta
+        return (scene.k1, scene.k2, scene.principal_point, scene.pose.rotation,
+                scene.pose.translation, scene.focal)
+    meta: PairMetadata = scene_or_meta
+    k1, k2 = (None if k is None else CameraIntrinsics.from_matrix(k)
+              for k in (meta.k1, meta.k2))
+    pp = None if meta.k1 is None else meta.principal_point
+    return k1, k2, pp, meta.gt_rotation, meta.gt_translation, meta.gt_focal
+
+
 def pose_errors(solver_id: str, model, inlier_pairs: np.ndarray,
                 scene_or_meta) -> tuple[float, float, float]:
     """(rotation deg, translation deg, relative focal error) against ground truth.
@@ -125,32 +142,9 @@ def pose_errors(solver_id: str, model, inlier_pairs: np.ndarray,
     and ground truth; nan entries mark unavailable ground truth.
     """
     info = solver_info(solver_id)
-    if isinstance(scene_or_meta, SyntheticScene):
-        k1, k2 = scene_or_meta.k1, scene_or_meta.k2
-        gt_rotation = scene_or_meta.pose.rotation
-        gt_translation = scene_or_meta.pose.translation
-        gt_focal = scene_or_meta.focal
-        pp = scene_or_meta.principal_point
-    else:
-        meta: PairMetadata = scene_or_meta
-        k1 = CameraIntrinsics.from_matrix(meta.k1) if meta.k1 is not None else None
-        k2 = CameraIntrinsics.from_matrix(meta.k2) if meta.k2 is not None else None
-        gt_rotation = meta.gt_rotation
-        gt_translation = meta.gt_translation
-        gt_focal = meta.gt_focal
-        pp = meta.principal_point if meta.k1 is not None else None
-
+    k1, k2, pp, gt_rotation, gt_translation, gt_focal = _ground_truth(scene_or_meta)
     focal_err = math.nan
-    identity = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
-    if info.family == "e":
-        if k1 is None or k2 is None:
-            return math.nan, math.nan, math.nan
-        # the harness scores E on normalized coordinates, so decompose there
-        from .geometry import normalize_pairs
-
-        pairs = normalize_pairs(inlier_pairs, k1, k2)
-        pose = decompose_essential(model, pairs, identity, identity)
-    elif info.family == "ff":
+    if info.family == "ff":
         focal = model.focal
         if gt_focal is not None:
             focal_err = relative_focal_error(focal, float(gt_focal))
@@ -159,10 +153,10 @@ def pose_errors(solver_id: str, model, inlier_pairs: np.ndarray,
         k_est = CameraIntrinsics(focal, focal, float(pp[0]), float(pp[1]))
         e = essential_from_fundamental(model.fundamental, k_est, k_est)
         pose = decompose_essential(e, inlier_pairs, k_est, k_est)
+    elif k1 is None or k2 is None:
+        return math.nan, math.nan, math.nan
     else:
-        if k1 is None or k2 is None:
-            return math.nan, math.nan, math.nan
-        e = essential_from_fundamental(model, k1, k2)
+        e = model if info.family == "e" else essential_from_fundamental(model, k1, k2)
         pose = decompose_essential(e, inlier_pairs, k1, k2)
 
     if gt_rotation is None or gt_translation is None:
@@ -172,13 +166,9 @@ def pose_errors(solver_id: str, model, inlier_pairs: np.ndarray,
 
 
 def _ransac_for(solver_id: str, corr: np.ndarray, scene_or_meta, config: RansacConfig):
-    if isinstance(scene_or_meta, SyntheticScene):
-        k1, k2, pp = scene_or_meta.k1, scene_or_meta.k2, scene_or_meta.principal_point
-    else:
-        k1 = k2 = pp = None
-        if scene_or_meta.k1 is not None:
-            k1, k2 = scene_or_meta.intrinsics()
-            pp = scene_or_meta.principal_point
+    k1, k2, pp, *_ = _ground_truth(scene_or_meta)
+    if k1 is not None and k2 is None:
+        raise ValueError("metadata lacks intrinsics")
     problem = make_problem(solver_id, corr, k1=k1, k2=k2, principal_point=pp)
     return problem, ransac(problem, config)
 

@@ -101,6 +101,9 @@ def cmd_solve(args) -> int:
                          f"got {corr.shape[0]}")
     k1, k2, pp = _intrinsics(read_metadata(args.meta) if args.meta else None)
     if info.family == "e" and k1 is not None:
+        if k2 is None:
+            raise UsageError("essential-matrix estimation needs both intrinsics; "
+                             "the metadata has K1 but no K2")
         try:
             k1, k2 = CameraIntrinsics.from_matrix(k1), CameraIntrinsics.from_matrix(k2)
         except ValueError as exc:  # malformed intrinsics in the metadata
@@ -142,7 +145,7 @@ def cmd_ransac(args) -> int:
     k1, k2, pp = _intrinsics(meta)
     try:
         problem = make_problem(args.problem, corr, k1=k1, k2=k2, principal_point=pp)
-    except ValueError as exc:  # intrinsics the metadata lacks or holds malformed
+    except (ValueError, SolverError) as exc:  # missing or malformed intrinsics, no frame
         raise UsageError(str(exc)) from None
     report = ransac(problem, config)
     wall_ms = 0.0 if args.fixed_clock else report.wall_time * 1000.0

@@ -4,8 +4,8 @@ Every row is a 9-vector of coefficients on the row-major entries (f1 ... f9)
 of a 3x3 two-view matrix, so that row . vec(F) = 0 for consistent input.
 Three row families exist: the bilinear point (epipolar) row, the two rows of
 an affine correspondence, and the single row contributed by the orientation
-and scale of a covariant feature pair. The point and feature row builders
-are batched: they take packed arrays and return one (n, 9) row block.
+and scale of a covariant feature pair. The row builders are batched: they
+take packed arrays and return one row block per correspondence.
 """
 from __future__ import annotations
 
@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, MirroredFeatureError, PointAtInfinityError
-from .geometry import (
-    AffineCorrespondence,
-    ImagePoint,
-    SiftCorrespondence,
-    SiftFeature,
-    homogenize,
-    wrap_angle,
-)
+from .geometry import homogenize, wrap_angle
 
 
 def normalized_residuals(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -112,15 +105,17 @@ def sift_rows(corr: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def affine_row_pair(ac: AffineCorrespondence) -> np.ndarray:
-    """The two rows contributed by a local affinity; shape (2, 9)."""
-    u1, v1 = ac.p1.u, ac.p1.v
-    u2, v2 = ac.p2.u, ac.p2.v
-    a1, a2, a3, a4 = ac.a1, ac.a2, ac.a3, ac.a4
-    return np.array([
-        [u2 + a1 * u1, a1 * v1, a1, v2 + a3 * u1, a3 * v1, a3, 1.0, 0.0, 0.0],
-        [a2 * u1, u2 + a2 * v1, a2, a4 * u1, v2 + a4 * v1, a4, 0.0, 1.0, 0.0],
-    ])
+def affine_rows(pairs: np.ndarray, affinities: np.ndarray) -> np.ndarray:
+    """The two rows of each local affinity: pairs (n, 4), affinities (n, 2, 2) -> (n, 2, 9)."""
+    pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
+    a = np.asarray(affinities, dtype=float)
+    u1, v1, u2, v2 = pairs[:, 0], pairs[:, 1], pairs[:, 2], pairs[:, 3]
+    a1, a2, a3, a4 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
+    zero, one = np.zeros_like(u1), np.ones_like(u1)
+    return np.stack([
+        np.stack([u2 + a1 * u1, a1 * v1, a1, v2 + a3 * u1, a3 * v1, a3, one, zero, zero], axis=1),
+        np.stack([a2 * u1, u2 + a2 * v1, a2, a4 * u1, v2 + a4 * v1, a4, zero, one, zero], axis=1),
+    ], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +232,15 @@ def circle_compatible_angles(affinities: np.ndarray) -> tuple[np.ndarray, np.nda
     return angles, free
 
 
-def make_consistent_sift(f, rng, point_scale: float = 500.0,
-                         max_retries: int = 64) -> SiftCorrespondence:
+def make_consistent_sift(f, rng, point_scale: float = 500.0, max_retries: int = 64):
     """Sample a feature correspondence exactly consistent with a rank-2 F.
 
     p1 is drawn at random, p2 is placed on its epipolar line, the affinity is
     drawn from the two-parameter family satisfying both affine rows with
     det A > 0, and the second-image orientation/scale follow from the
-    affinity. The derived row of the result annihilates vec(F) to roundoff.
+    affinity. Returns (packed row (8,), affinity (2, 2)); the feature,
+    point and affine rows of the result annihilate vec(F) to roundoff.
     """
-    corr, _ = sample_consistent_instance(f, rng, point_scale=point_scale,
-                                         max_retries=max_retries)
-    return corr
-
-
-def sample_consistent_instance(f, rng, point_scale: float = 500.0, max_retries: int = 64):
-    """Like make_consistent_sift but also returns the sampled affinity."""
     m = f.m if hasattr(f, "m") else np.asarray(f, dtype=float)
     scale = np.linalg.norm(m)
     for _ in range(max_retries):
@@ -293,11 +281,6 @@ def sample_consistent_instance(f, rng, point_scale: float = 500.0, max_retries: 
             alpha1 = wrap_angle(lines[0, rng.integers(2)] + rng.integers(2) * math.pi)
         q1 = rng.uniform(0.5, 2.0)
         alpha2, q2, _ = sift_from_affine(a, alpha1, q1)
-        corr = SiftCorrespondence(
-            SiftFeature(ImagePoint(p1[0], p1[1]), alpha1, q1),
-            SiftFeature(ImagePoint(p2[0], p2[1]), alpha2, q2),
-        )
-        ac = AffineCorrespondence(corr.first.point, corr.second.point, a)
-        return corr, ac
+        return np.array([p1[0], p1[1], q1, alpha1, p2[0], p2[1], q2, alpha2]), a
     raise DegenerateSampleError("could not sample a consistent correspondence; "
                                 "degenerate region of F")

@@ -5,6 +5,7 @@ digits so that emit/parse round-trips are exact.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -24,11 +25,17 @@ def _fmt(x: float) -> str:
 
 
 def open_input(path):
-    """Open a text input file for reading; a path that cannot be opened is a ParseError."""
+    """The text of an input file as a line stream.
+
+    A path that cannot be opened, or bytes that are not UTF-8, is a ParseError.
+    """
     try:
-        return open(path)
+        with open(path, encoding="utf-8") as handle:
+            return io.StringIO(handle.read())
     except OSError as exc:
         raise ParseError(f"cannot open: {exc.strerror or exc}", path=str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text (byte {exc.start})", path=str(path)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Core two-view geometry: domain types, error metrics, and pose recovery.
+"""Core two-view geometry: model types, error metrics, and pose recovery.
 
 Conventions: matrices act on homogeneous pixel points p = (u, v, 1); the
 epipolar constraint reads p2^T F p1 = 0; essential and fundamental matrices
@@ -27,8 +27,6 @@ def wrap_angle(angle: float) -> float:
 def homogenize(points: np.ndarray) -> np.ndarray:
     """Append a unit coordinate: (n, 2) -> (n, 3)."""
     points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        return np.array([points[0], points[1], 1.0])
     return np.hstack([points, np.ones((points.shape[0], 1))])
 
 
@@ -57,109 +55,8 @@ def normalized_matrix(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Domain types
+# Model types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ImagePoint:
-    u: float
-    v: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.u) and math.isfinite(self.v)):
-            raise ValueError("image point coordinates must be finite")
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.u, self.v])
-
-    def homogeneous(self) -> np.ndarray:
-        return np.array([self.u, self.v, 1.0])
-
-
-@dataclass(frozen=True)
-class SiftFeature:
-    """A keypoint with its orientation (radians) and positive scale."""
-
-    point: ImagePoint
-    angle: float
-    scale: float
-
-    def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValueError("feature scale must be positive")
-        object.__setattr__(self, "angle", wrap_angle(self.angle))
-
-
-@dataclass(frozen=True)
-class SiftCorrespondence:
-    """A matched feature pair; the unit consumed by the SIFT-based solvers."""
-
-    first: SiftFeature
-    second: SiftFeature
-
-    @property
-    def relative_scale(self) -> float:
-        return self.second.scale / self.first.scale
-
-    @property
-    def relative_angle(self) -> float:
-        return wrap_angle(self.second.angle - self.first.angle)
-
-    def point_pair(self) -> np.ndarray:
-        return np.array([self.first.point.u, self.first.point.v,
-                         self.second.point.u, self.second.point.v])
-
-    def to_row(self) -> np.ndarray:
-        """Pack as (u1, v1, scale1, angle1, u2, v2, scale2, angle2)."""
-        return np.array([
-            self.first.point.u, self.first.point.v, self.first.scale, self.first.angle,
-            self.second.point.u, self.second.point.v, self.second.scale, self.second.angle,
-        ])
-
-    @classmethod
-    def from_row(cls, row: np.ndarray) -> "SiftCorrespondence":
-        row = np.asarray(row, dtype=float)
-        return cls(
-            SiftFeature(ImagePoint(row[0], row[1]), row[3], row[2]),
-            SiftFeature(ImagePoint(row[4], row[5]), row[7], row[6]),
-        )
-
-
-@dataclass(frozen=True)
-class AffineCorrespondence:
-    """A point pair plus the 2x2 local linearization of the image-to-image map."""
-
-    p1: ImagePoint
-    p2: ImagePoint
-    a: np.ndarray  # 2x2, row-major entries a1, a2, a3, a4
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.shape != (2, 2) or not np.all(np.isfinite(a)):
-            raise ValueError("affinity must be a finite 2x2 matrix")
-        object.__setattr__(self, "a", a)
-
-    @property
-    def a1(self) -> float:
-        return float(self.a[0, 0])
-
-    @property
-    def a2(self) -> float:
-        return float(self.a[0, 1])
-
-    @property
-    def a3(self) -> float:
-        return float(self.a[1, 0])
-
-    @property
-    def a4(self) -> float:
-        return float(self.a[1, 1])
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.a))
-
 
 @dataclass(frozen=True)
 class FundamentalMatrix:
@@ -223,10 +120,6 @@ class CameraIntrinsics:
         if not (self.fx > 0.0 and self.fy > 0.0):
             raise ValueError("focal lengths must be positive")
 
-    @property
-    def mean_focal(self) -> float:
-        return 0.5 * (self.fx + self.fy)
-
     def matrix(self) -> np.ndarray:
         return np.array([
             [self.fx, self.skew, self.cx],
@@ -267,32 +160,6 @@ class RelativePose:
         object.__setattr__(self, "translation", t / norm)
 
 
-@dataclass(frozen=True)
-class EpipolarLine:
-    a: float
-    b: float
-    c: float
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
-
-    @property
-    def normal(self) -> np.ndarray:
-        return np.array([self.a, self.b])
-
-    @property
-    def is_degenerate(self) -> bool:
-        return math.hypot(self.a, self.b) < 1e-14
-
-    def point_distance(self, point: np.ndarray) -> float:
-        n = math.hypot(self.a, self.b)
-        if n == 0.0:
-            return math.inf
-        p = np.asarray(point, dtype=float)
-        return abs(self.a * p[0] + self.b * p[1] + self.c) / n
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -301,19 +168,6 @@ def _as_matrix(model) -> np.ndarray:
     if isinstance(model, (FundamentalMatrix, EssentialMatrix)):
         return model.m
     return np.asarray(model, dtype=float)
-
-
-def epipolar_line(f, point, direction: str = "right") -> EpipolarLine:
-    """Epipolar line induced by a point: F p (right, line in image 2) or F^T p (left)."""
-    m = _as_matrix(f)
-    p = point.homogeneous() if isinstance(point, ImagePoint) else homogenize(np.asarray(point))
-    if direction == "right":
-        line = m @ p
-    elif direction == "left":
-        line = m.T @ p
-    else:
-        raise ValueError("direction must be 'right' or 'left'")
-    return EpipolarLine(float(line[0]), float(line[1]), float(line[2]))
 
 
 def symmetric_epipolar_errors(f, pairs: np.ndarray) -> np.ndarray:

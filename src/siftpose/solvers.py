@@ -185,12 +185,23 @@ def _similarity(center, scale: float) -> np.ndarray:
     ])
 
 
+def _frame_scale(target: float, spread: float) -> float:
+    """The scale taking a mean radius `spread` to `target`; 1 for a sample without spread.
+
+    An overflowing spread would collapse every point and feature scale to zero.
+    """
+    if not math.isfinite(spread):
+        raise IllConditionedSampleError(
+            "coordinates too large for a solver frame: their spread overflows")
+    return target / spread if spread > 1e-12 else 1.0
+
+
 def _hartley_similarity(points: np.ndarray) -> np.ndarray:
     """Similarity sending the centroid to the origin and mean radius to sqrt(2)."""
     points = np.asarray(points, dtype=float)
     centroid = points.mean(axis=0)
     spread = np.mean(np.linalg.norm(points - centroid, axis=1))
-    return _similarity(centroid, math.sqrt(2.0) / spread if spread > 1e-12 else 1.0)
+    return _similarity(centroid, _frame_scale(math.sqrt(2.0), spread))
 
 
 def _apply_similarity(points: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -830,7 +841,7 @@ def common_scale_frame(pairs: np.ndarray) -> SimilarityFrame:
     c2 = pairs[:, 2:4].mean(axis=0)
     spread = 0.5 * (np.mean(np.linalg.norm(pairs[:, :2] - c1, axis=1))
                     + np.mean(np.linalg.norm(pairs[:, 2:4] - c2, axis=1)))
-    s = math.sqrt(2.0) / spread if spread > 1e-12 else 1.0
+    s = _frame_scale(math.sqrt(2.0), spread)
     return SimilarityFrame(_similarity(c1, s), _similarity(c2, s), s)
 
 
@@ -838,7 +849,7 @@ def semicalibrated_frame(pairs: np.ndarray, principal_point) -> SimilarityFrame:
     """One similarity for both images: the principal point to the origin, unit mean radius."""
     pp = np.asarray(principal_point, dtype=float).reshape(2)
     spread = np.mean(np.linalg.norm(np.vstack([pairs[:, :2] - pp, pairs[:, 2:4] - pp]), axis=1))
-    s = 1.0 / spread if spread > 1e-12 else 1.0
+    s = _frame_scale(1.0, spread)
     t = _similarity(pp, s)
     return SimilarityFrame(t, t, s)
 

@@ -469,13 +469,9 @@ def stability_histogram(solver_id: str, trials: int, seed: int = 0,
     if trials < 1:
         raise ValueError("at least one trial required")
     base = config or SyntheticConfig()
-    values = np.empty(trials)
-    focals = np.empty(trials)
-    chunks = pool_map(_stability_chunk, [(solver_id, seed, t, base) for t in range(trials)],
-                      resolve_workers(workers))
-    for t, (err, focal_err) in enumerate(chunks):
-        values[t] = err
-        focals[t] = focal_err
+    chunks = pool_map(_trial_chunk, [((solver_id,), (seed, t), 0.0, base)
+                                     for t in range(trials)], resolve_workers(workers))
+    values, focals = np.array([errors for (errors,) in chunks]).T
 
     logs = _clipped_log10(values)
     clipped = np.clip(logs[np.isfinite(logs)], HISTOGRAM_EDGES[0],
@@ -489,13 +485,6 @@ def stability_histogram(solver_id: str, trials: int, seed: int = 0,
     )
 
 
-def _stability_chunk(args):
-    solver_id, seed, trial, base = args
-    rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-    scene = generate_scene(base, rng)
-    return evaluate_trial(scene, solver_id, rng)
-
-
 def noise_sweep(solver_ids, sigmas, trials: int, seed: int = 0,
                 config: SyntheticConfig | None = None,
                 workers: int | None = None) -> list[dict]:
@@ -506,16 +495,16 @@ def noise_sweep(solver_ids, sigmas, trials: int, seed: int = 0,
     """
     base = config or SyntheticConfig()
     solver_ids = list(solver_ids)
-    tasks = [(tuple(solver_ids), seed, s_idx, float(sigma), trial, base)
+    tasks = [(tuple(solver_ids), (seed, s_idx, trial), float(sigma), base)
              for s_idx, sigma in enumerate(sigmas) for trial in range(trials)]
-    results = pool_map(_sweep_chunk, tasks, resolve_workers(workers))
+    results = pool_map(_trial_chunk, tasks, resolve_workers(workers))
 
     records = []
     per_point = trials
     for s_idx, sigma in enumerate(sigmas):
         block = results[s_idx * per_point:(s_idx + 1) * per_point]
         for col, solver_id in enumerate(solver_ids):
-            errs = np.array([row[col] for row in block])
+            errs = np.array([row[col][0] for row in block])
             ok = np.isfinite(errs)
             records.append({
                 "sigma": float(sigma),
@@ -527,14 +516,13 @@ def noise_sweep(solver_ids, sigmas, trials: int, seed: int = 0,
     return records
 
 
-def _sweep_chunk(args):
-    solver_ids, seed, sigma_idx, sigma, trial, base = args
-    rng = np.random.default_rng(np.random.SeedSequence((seed, sigma_idx, trial)))
-    scene = generate_scene(base, rng)
-    noisy = add_noise(scene, sigma, rng)
-    out = []
-    for solver_id in solver_ids:
-        err, _ = evaluate_trial(noisy, solver_id, rng)
-        out.append(err)
-    return out
+def _trial_chunk(args):
+    """One trial: a fresh scene from SeedSequence(seed_key), noised, then each solver in turn.
 
+    Returns evaluate_trial's (error, focal error) per solver. A zero sigma
+    leaves the scene as generated and draws nothing.
+    """
+    solver_ids, seed_key, sigma, base = args
+    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+    scene = add_noise(generate_scene(base, rng), sigma, rng)
+    return [evaluate_trial(scene, solver_id, rng) for solver_id in solver_ids]

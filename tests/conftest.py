@@ -1,7 +1,20 @@
+import os
+
 import numpy as np
 import pytest
 
 from siftpose.synthetic import SyntheticConfig, generate_scene
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_child_path():
+    """Child processes running `python -m siftpose.cli` import this checkout's src/."""
+    with pytest.MonkeyPatch.context() as patch:
+        paths = [SRC, os.environ.get("PYTHONPATH")]
+        patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+        yield
 
 
 @pytest.fixture(scope="session")

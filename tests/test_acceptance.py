@@ -62,10 +62,9 @@ def test_criterion_1_elimination_oracle():
     fs = [random_rank2(rng) for _ in range(50)]
     for i in range(10_000):
         f = fs[i % len(fs)]
-        corr = make_consistent_sift(f, rng)
-        row = sift_rows(corr.to_row()[None])[0]
+        packed, _ = make_consistent_sift(f, rng)
+        row = sift_rows(packed[None])[0]
         clean[i] = abs(row @ f.flat()) / np.linalg.norm(row)
-        packed = corr.to_row()
         packed[7] += 1e-3
         moved = sift_rows(packed.reshape(1, 8))[0]
         perturbed[i] = abs(moved @ f.flat()) / np.linalg.norm(moved)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -216,6 +218,32 @@ class TestBenchCommands:
         assert list(statuses.values()).count("parse-error") == 1
 
 
+    def test_metadata_with_k1_only(self, tmp_path):
+        # bench-dataset refuses the pair for every family; ransac uses what K1
+        # gives: no pose for f, exit 2 for e, K1's principal point for ff
+        with open(os.path.join(FIXTURES, "ransac_f_demo.meta")) as handle:
+            text = "".join(line for line in handle if not line.startswith("K2"))
+        meta = tmp_path / "pair.meta"
+        meta.write_text(text)
+        data = os.path.join(FIXTURES, "ransac_f_demo.csv")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{data} {meta}\n")
+        for family, solver_id in (("f", "f7pt"), ("e", "e5pt"), ("ff", "ff3sift")):
+            out = tmp_path / f"{family}.csv"
+            assert run_cli(["bench-dataset", "--pairs", str(manifest), "--problem", family,
+                            "--solvers", solver_id, "--fixed-clock", "--out", str(out)]) == 0
+            assert [r.status for r in read_benchmark_rows(out)][0] == "error"
+        rows = {}
+        for problem, code in (("f4sift", 0), ("e3sift", 2), ("ff3sift", 0)):
+            out = tmp_path / f"{problem}.csv"
+            assert run_cli(["ransac", "--problem", problem, "--input", data, "--meta", str(meta),
+                            "--max-iters", "50", "--seed", "1", "--output", str(out)]) == code
+            if code == 0:
+                rows[problem] = read_benchmark_rows(out)[0]
+        assert rows["f4sift"].status == "ok" and np.isnan(rows["f4sift"].rot_err_deg)
+        assert np.isfinite([rows["ff3sift"].rot_err_deg, rows["ff3sift"].focal_err]).all()
+
+
 class TestNonFiniteInput:
     """A non-finite field is malformed input: exit 3 with a message, no traceback."""
 
@@ -307,6 +335,52 @@ class TestInputErrors:
         assert not (tmp_path / "noise.csv").exists()
 
 
+    @pytest.mark.parametrize("target", ["input", "meta", "manifest"])
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys, target):
+        bad = tmp_path / "bad.txt"
+        fixture = {"input": "e3sift_clean.csv", "meta": "ransac_f_demo.meta",
+                   "manifest": os.path.join("mini_dataset", "manifest.txt")}[target]
+        with open(os.path.join(FIXTURES, fixture), "rb") as handle:
+            bad.write_bytes(handle.read() + b"# \xff\n")
+        if target == "manifest":
+            args = ["bench-dataset", "--pairs", str(bad), "--problem", "f",
+                    "--solvers", "f7pt", "--out", str(tmp_path / "rows.csv")]
+        else:
+            args = ["solve", "--problem", "e3sift",
+                    "--input", str(bad) if target == "input"
+                    else os.path.join(FIXTURES, "e3sift_clean.csv")]
+            if target == "meta":
+                args += ["--meta", str(bad)]
+        assert run_cli(args) == 3
+        assert "not UTF-8 text" in capsys.readouterr().err
+
+    def test_solve_essential_without_k2_names_it(self, tmp_path, capsys):
+        meta = tmp_path / "pair.meta"
+        meta.write_text("K1 800 0 600 0 800 400 0 0 1\n")
+        code = run_cli(["solve", "--problem", "e3sift",
+                        "--input", os.path.join(FIXTURES, "e3sift_clean.csv"),
+                        "--meta", str(meta)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "needs both intrinsics" in err and "no K2" in err
+
+    @pytest.mark.parametrize("command,problem,code", [("solve", "f4sift", 4),
+                                                      ("solve", "ff3sift", 4),
+                                                      ("ransac", "f4sift", 2),
+                                                      ("ransac", "ff3sift", 2)])
+    def test_coordinates_overflowing_the_frame(self, tmp_path, capsys, command, problem, code):
+        with open(os.path.join(FIXTURES, f"{problem}_clean.csv")) as handle:
+            lines = handle.read().splitlines()
+        lines[1] = "1e300" + lines[1][lines[1].index(","):]
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(lines) + "\n")
+        args = [command, "--problem", problem, "--input", str(data)]
+        if problem == "ff3sift" and command == "ransac":
+            args += ["--meta", os.path.join(FIXTURES, "ransac_f_demo.meta")]
+        assert run_cli(args) == code
+        assert "coordinates too large for a solver frame" in capsys.readouterr().err
+
+
 def _fixture_rows(name):
     with open(os.path.join(FIXTURES, name)) as handle:
         return [line.strip().split(",") for line in handle if not line.startswith("#")]
@@ -314,7 +388,10 @@ def _fixture_rows(name):
 
 DEMO_ROWS = _fixture_rows("ransac_f_demo.csv")
 VALID_K = ["800", "0", "600", "0", "800", "400", "0", "0", "1"]
-bad_tokens = st.sampled_from(["nan", "inf", "-inf", "x", "", "-1", "0", "1e400"])
+SAMPLE_SIZES = {"f4sift": 4, "e3sift": 3, "ff3sift": 3, "f7pt": 7, "e5pt": 5, "ff6pt": 6}
+# "\udcff" is written as the byte 0xff, which is not UTF-8
+bad_tokens = st.sampled_from(["nan", "inf", "-inf", "x", "", "-1", "0", "1e400", "1e300",
+                              "-1e300", "\udcff"])
 headers = st.sampled_from(["# units=rad"] * 8 + ["# units=deg", "# units=grad", "", "# comment"])
 
 
@@ -336,6 +413,29 @@ def correspondence_files(draw):
         else:
             row.pop()
     return "\n".join(lines + [",".join(row) for row in records]) + "\n"
+
+
+@st.composite
+def well_formed_inputs(draw, command, problem):
+    """A parseable correspondence file and metadata with both intrinsics, or no metadata.
+
+    solve gets one sample, ransac twelve records. The last record may repeat
+    the first (a degenerate sample), or a coordinate may be +-1e300.
+    """
+    count = SAMPLE_SIZES[problem] if command == "solve" else 12
+    start = draw(st.integers(0, len(DEMO_ROWS) - count))
+    records = [list(row) for row in DEMO_ROWS[start:start + count]]
+    edit = draw(st.sampled_from([None] * 3 + ["repeat", "huge"]))
+    if edit == "repeat":
+        records[-1] = list(records[0])
+    elif edit == "huge":
+        row = records[draw(st.integers(0, count - 1))]
+        row[draw(st.sampled_from([0, 1, 4, 5]))] = draw(st.sampled_from(["1e300", "-1e300"]))
+    corr = "\n".join(["# units=rad"] + [",".join(row) for row in records]) + "\n"
+    k_lines = "".join(f"{key} {' '.join(VALID_K)}\n" for key in ("K1", "K2"))
+    meta_optional = command == "solve" or problem in ("f4sift", "f7pt")
+    meta = draw(st.sampled_from([k_lines, "none"] if meta_optional else [k_lines]))
+    return corr, meta
 
 
 @st.composite
@@ -363,31 +463,52 @@ def metadata_files(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def cli_cases(draw):
+    """(command, problem, correspondence text or None for a missing file, metadata).
+
+    Four in five cases are well formed, so that most reach a solver.
+    """
+    command = draw(st.sampled_from(["solve", "ransac"]))
+    problem = draw(st.sampled_from(sorted(SAMPLE_SIZES)))
+    if draw(st.sampled_from([True] * 4 + [False])):
+        corr, meta = draw(well_formed_inputs(command, problem))
+        return command, problem, corr, meta
+    corr = draw(st.sampled_from([True] * 7 + [False]).flatmap(
+        lambda present: correspondence_files() if present else st.none()))
+    meta = draw(st.sampled_from(["file"] * 4 + ["none", "absent"]).flatmap(
+        lambda kind: metadata_files() if kind == "file" else st.just(kind)))
+    return command, problem, corr, meta
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8", errors="surrogateescape") as handle:
+        handle.write(text)
+
+
 class TestExitCodeTotality:
     """Every fuzzed input ends in a documented exit code, never in an exception."""
 
     @settings(max_examples=50, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(command=st.sampled_from(["solve", "ransac"]),
-           problem=st.sampled_from(["f4sift", "e3sift", "ff3sift", "f7pt", "e5pt", "ff6pt"]),
-           corr=st.sampled_from([True] * 7 + [False]).flatmap(
-               lambda present: correspondence_files() if present else st.none()),
-           meta=st.sampled_from(["file"] * 4 + ["none", "absent"]).flatmap(
-               lambda kind: metadata_files() if kind == "file" else st.just(kind)))
-    def test_documented_exit_codes(self, command, problem, corr, meta):
+    @given(case=cli_cases())
+    def test_documented_exit_codes(self, case):
+        command, problem, corr, meta = case
         with tempfile.TemporaryDirectory() as tmp:
             corr_path = os.path.join(tmp, "pair.csv")
             if corr is not None:  # None leaves the file missing
-                with open(corr_path, "w") as handle:
-                    handle.write(corr)
+                _write(corr_path, corr)
             args = [command, "--problem", problem, "--input", corr_path,
                     "--output", os.path.join(tmp, "out.txt")]
             if meta != "none":
                 meta_path = os.path.join(tmp, "pair.meta")
                 if meta != "absent":
-                    with open(meta_path, "w") as handle:
-                        handle.write(meta)
+                    _write(meta_path, meta)
                 args += ["--meta", meta_path]
             if command == "ransac":
                 args += ["--max-iters", "20"]
-            assert run_cli(args) in (0, 2, 3, 4)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run_cli(args)
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in err.getvalue()

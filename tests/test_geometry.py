@@ -9,12 +9,8 @@ from siftpose.geometry import (
     CameraIntrinsics,
     EssentialMatrix,
     FundamentalMatrix,
-    ImagePoint,
     RelativePose,
-    SiftCorrespondence,
-    SiftFeature,
     decompose_essential,
-    epipolar_line,
     essential_from_pose,
     fundamental_from_essential,
     normalize_points,
@@ -33,43 +29,17 @@ def random_rank2(rng):
     return FundamentalMatrix.from_array(q @ np.diag([1.0, rng.uniform(0.2, 1.0), 0.0]) @ v.T)
 
 
+def line_in_image2(f, point):
+    """The line F p in image 2 of a first-image point, as coefficients (a, b, c)."""
+    return f.m @ np.array([point[0], point[1], 1.0])
+
+
 def point_on_line(line, offset, rng):
-    a, b, c = line.coefficients
+    a, b, c = line
     norm = math.hypot(a, b)
     base = -c / norm * np.array([a, b]) / norm
     tangent = np.array([-b, a]) / norm
     return base + rng.uniform(-offset, offset) * tangent
-
-
-class TestEpipolarLine:
-    def test_antisymmetric_at_origin(self):
-        f = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        line = epipolar_line(f, ImagePoint(0.0, 0.0), "right")
-        assert np.allclose(line.coefficients, [0.0, -1.0, 0.0])
-
-    def test_identity_matrix(self):
-        line = epipolar_line(np.eye(3), ImagePoint(1.0, 2.0), "right")
-        assert np.allclose(line.coefficients, [1.0, 2.0, 1.0])
-
-    def test_sampled_point_satisfies_constraint(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            f = random_rank2(rng)
-            p1 = rng.uniform(-100.0, 100.0, 2)
-            line = epipolar_line(f, p1, "right")
-            if line.is_degenerate:
-                continue
-            p2 = point_on_line(line, 100.0, rng)
-            residual = np.array([*p2, 1.0]) @ f.m @ np.array([*p1, 1.0])
-            assert abs(residual) < 1e-12
-
-    def test_epipole_flagged(self):
-        rng = np.random.default_rng(2)
-        f = random_rank2(rng)
-        _, _, vt = np.linalg.svd(f.m)
-        epipole = vt[-1] / vt[-1][2]
-        line = epipolar_line(f, epipole[:2], "right")
-        assert line.is_degenerate
 
 
 class TestSymmetricEpipolarError:
@@ -77,7 +47,7 @@ class TestSymmetricEpipolarError:
         rng = np.random.default_rng(3)
         f = random_rank2(rng)
         p1 = np.array([3.0, -7.0])
-        line = epipolar_line(f, p1, "right")
+        line = line_in_image2(f, p1)
         p2 = point_on_line(line, 50.0, rng)
         assert symmetric_epipolar_errors(f, np.array([[*p1, *p2]]))[0] < 1e-12
 
@@ -94,14 +64,14 @@ class TestSymmetricEpipolarError:
         while checked < 10:
             f = random_rank2(rng)
             p1 = rng.uniform(-50.0, 50.0, 2)
-            line = epipolar_line(f, p1, "right")
-            if line.is_degenerate:
+            line = line_in_image2(f, p1)
+            if math.hypot(line[0], line[1]) < 1e-14:
                 continue
             p2 = point_on_line(line, 50.0, rng)
-            normal = line.normal / np.linalg.norm(line.normal)
+            normal = line[:2] / np.linalg.norm(line[:2])
             displaced = p2 + normal
-            n1 = epipolar_line(f, displaced, "left").normal
-            n2 = line.normal
+            n1 = (f.m.T @ np.array([*displaced, 1.0]))[:2]
+            n2 = line[:2]
             expected = 0.5 * (1.0 + np.linalg.norm(n2) / np.linalg.norm(n1))
             got = symmetric_epipolar_errors(f, np.array([[*p1, *displaced]]))[0]
             assert abs(got - expected) < 1e-9
@@ -290,19 +260,6 @@ class TestModelTypes:
         s = projected.singular_values()
         assert abs(s[0] - s[1]) < 1e-10
         assert s[2] < 1e-10
-
-    def test_sift_feature_validation(self):
-        with pytest.raises(ValueError):
-            SiftFeature(ImagePoint(0.0, 0.0), 1.0, -2.0)
-        feature = SiftFeature(ImagePoint(0.0, 0.0), -1.0, 2.0)
-        assert 0.0 <= feature.angle < 2.0 * math.pi
-
-    def test_relative_scale(self):
-        corr = SiftCorrespondence(SiftFeature(ImagePoint(0, 0), 0.2, 2.0),
-                                  SiftFeature(ImagePoint(1, 1), 0.4, 5.0))
-        assert corr.relative_scale == pytest.approx(2.5)
-        packed = corr.to_row()
-        assert np.allclose(SiftCorrespondence.from_row(packed).to_row(), packed)
 
     def test_relative_pose_validation(self):
         with pytest.raises(ValueError):

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from siftpose.constraints import (
-    affine_row_pair,
+    affine_rows,
     decomposition_residuals,
     epipolar_rows,
     sift_rows,
 )
-from siftpose.geometry import (
-    AffineCorrespondence,
-    ImagePoint,
-    symmetric_epipolar_errors,
-)
+from siftpose.geometry import symmetric_epipolar_errors
 from siftpose.synthetic import (
     SyntheticConfig,
     add_noise,
@@ -31,11 +27,7 @@ class TestSceneInvariants:
             rows = np.vstack([epipolar_rows(scene.pairs), sift_rows(scene.correspondences)])
             residuals = np.abs(rows @ vec) / np.linalg.norm(rows, axis=1)
             assert residuals.max() < 1e-10
-            for i in range(scene.correspondences.shape[0]):
-                ac = AffineCorrespondence(
-                    ImagePoint(*scene.correspondences[i, 0:2]),
-                    ImagePoint(*scene.correspondences[i, 4:6]), scene.affinities[i])
-                arows = affine_row_pair(ac)
+            for arows in affine_rows(scene.pairs, scene.affinities):
                 assert np.max(np.abs(arows @ vec) / np.linalg.norm(arows, axis=1)) < 1e-10
 
     def test_affinities_orientation_preserving(self, scenes):
