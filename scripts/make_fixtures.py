@@ -31,7 +31,7 @@ def spanning(scene, size, rng):
 
 def minimal_samples():
     rng = np.random.default_rng(2024)
-    scene = generate_scene(SyntheticConfig(seed=2024), rng)
+    scene = generate_scene(SyntheticConfig(), rng)
 
     # e3sift consumes calibrated coordinates when no metadata is given
     idx = spanning(scene, 3, rng)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .parallel import pool_map, resolve_workers
 from .robust import RansacConfig, make_problem, ransac
 from .solvers import solver_info
 from .synthetic import (
+    IMAGE_SIZE,
     SyntheticConfig,
     SyntheticScene,
     add_noise,
@@ -39,6 +39,9 @@ STABILITY_SOLVERS = ("f4sift", "f7pt", "e3sift", "e5pt")
 FOCAL_SOLVERS = ("ff3sift", "ff6pt")
 NOISE_SOLVERS = ("f4sift", "f7pt", "e3sift", "e5pt", "ff3sift", "ff6pt")
 SPEEDUP_SOLVERS = ("e3sift", "e5pt", "f4sift", "f7pt")
+SPEEDUP_CORRESPONDENCES = 200
+SPEEDUP_SIGMA = 0.5
+ROBUST_PLANES = 6  # inlier planes of make_robust_instance
 
 
 def _fmt(x: float) -> str:
@@ -50,7 +53,6 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def run_stability_experiment(trials: int, seed: int, out_path, solvers=STABILITY_SOLVERS,
-                             config: SyntheticConfig | None = None, workers=None,
                              column: str = "log10_error") -> None:
     """One row per (solver, trial) of a stability study.
 
@@ -60,17 +62,13 @@ def run_stability_experiment(trials: int, seed: int, out_path, solvers=STABILITY
     with open(out_path, "w") as handle:
         handle.write(f"trial,solver,{column}\n")
         for solver_id in solvers:
-            result = stability_histogram(solver_id, trials, seed=seed, config=config,
-                                         workers=resolve_workers(workers))
+            result = stability_histogram(solver_id, trials, seed=seed)
             for trial, value in enumerate(getattr(result, column + "s")):
                 handle.write(f"{trial},{solver_id},{_fmt(value)}\n")
 
 
-def run_noise_experiment(trials: int, sigmas, seed: int, out_path,
-                         solvers=NOISE_SOLVERS, config: SyntheticConfig | None = None,
-                         workers=None) -> None:
-    records = noise_sweep(solvers, sigmas, trials, seed=seed, config=config,
-                          workers=resolve_workers(workers))
+def run_noise_experiment(trials: int, sigmas, seed: int, out_path) -> None:
+    records = noise_sweep(NOISE_SOLVERS, sigmas, trials, seed=seed)
     with open(out_path, "w") as handle:
         handle.write("sigma,solver,mean_error,failures,trials\n")
         for rec in records:
@@ -82,9 +80,7 @@ def run_noise_experiment(trials: int, sigmas, seed: int, out_path,
 # Robust estimation problems with planted outliers
 # ---------------------------------------------------------------------------
 
-def make_robust_instance(n_correspondences: int, inlier_ratio: float, sigma: float,
-                         rng, config: SyntheticConfig | None = None,
-                         plane_count: int = 6):
+def make_robust_instance(n_correspondences: int, inlier_ratio: float, sigma: float, rng):
     """A synthetic scene extended with uniform random mismatches.
 
     Returns (scene, corr, inlier_mask): corr rows are shuffled noised inliers
@@ -95,14 +91,12 @@ def make_robust_instance(n_correspondences: int, inlier_ratio: float, sigma: flo
     """
     n_inliers = int(round(n_correspondences * inlier_ratio))
     n_outliers = n_correspondences - n_inliers
-    per_plane = -(-n_inliers // plane_count)
-    base = config or SyntheticConfig()
-    scene = generate_scene(replace(base, points_per_plane=per_plane,
-                                   plane_count=plane_count), rng)
+    per_plane = -(-n_inliers // ROBUST_PLANES)
+    scene = generate_scene(SyntheticConfig(ROBUST_PLANES, per_plane), rng)
     noisy = add_noise(scene, sigma, rng) if sigma > 0 else scene
     inliers = noisy.correspondences[:n_inliers]
 
-    width, height = base.image_size
+    width, height = IMAGE_SIZE
     outliers = np.empty((n_outliers, 8))
     for offset in (0, 4):
         outliers[:, offset] = rng.uniform(0.0, width, n_outliers)
@@ -167,32 +161,25 @@ def pose_errors(solver_id: str, model, inlier_pairs: np.ndarray,
 
 def _ransac_for(solver_id: str, corr: np.ndarray, scene_or_meta, config: RansacConfig):
     k1, k2, pp, *_ = _ground_truth(scene_or_meta)
-    if k1 is not None and k2 is None:
-        raise ValueError("metadata lacks intrinsics")
     problem = make_problem(solver_id, corr, k1=k1, k2=k2, principal_point=pp)
     return problem, ransac(problem, config)
 
 
 def run_speedup_experiment(trials: int, inlier_ratios, seed: int, out_path,
-                           solvers=SPEEDUP_SOLVERS, sigma: float = 0.5,
-                           n_correspondences: int = 200,
-                           ransac_config: RansacConfig | None = None,
-                           fixed_clock: bool = False, workers=None) -> list[dict]:
+                           fixed_clock: bool = False) -> None:
     """Mean models-scored and wall time per solver at each planted inlier ratio.
 
     fixed_clock reports every wall time as zero, for reproducible output.
     """
-    base_config = ransac_config or RansacConfig()
-    tasks = [(seed, r_idx, float(ratio), trial, tuple(solvers), sigma,
-              n_correspondences, base_config)
+    tasks = [(seed, r_idx, float(ratio), trial)
              for r_idx, ratio in enumerate(inlier_ratios) for trial in range(trials)]
-    rows = pool_map(_speedup_chunk, tasks, resolve_workers(workers))
+    rows = pool_map(_speedup_chunk, tasks, resolve_workers())
 
     records = []
     per_point = trials
     for r_idx, ratio in enumerate(inlier_ratios):
         block = rows[r_idx * per_point:(r_idx + 1) * per_point]
-        for col, solver_id in enumerate(solvers):
+        for col, solver_id in enumerate(SPEEDUP_SOLVERS):
             scored = np.array([b[col][0] for b in block], dtype=float)
             wall = np.array([b[col][1] for b in block], dtype=float)
             records.append({
@@ -202,24 +189,22 @@ def run_speedup_experiment(trials: int, inlier_ratios, seed: int, out_path,
                 "mean_iterations": float(np.mean([b[col][2] for b in block])),
                 "trials": per_point,
             })
-    if out_path is not None:
-        with open(out_path, "w") as handle:
-            handle.write("inlier_ratio,solver,mean_models_scored,mean_wall_ms,"
-                         "mean_iterations,trials\n")
-            for rec in records:
-                handle.write(f"{_fmt(rec['inlier_ratio'])},{rec['solver']},"
-                             f"{_fmt(rec['mean_models_scored'])},{_fmt(rec['mean_wall_ms'])},"
-                             f"{_fmt(rec['mean_iterations'])},{rec['trials']}\n")
-    return records
+    with open(out_path, "w") as handle:
+        handle.write("inlier_ratio,solver,mean_models_scored,mean_wall_ms,"
+                     "mean_iterations,trials\n")
+        for rec in records:
+            handle.write(f"{_fmt(rec['inlier_ratio'])},{rec['solver']},"
+                         f"{_fmt(rec['mean_models_scored'])},{_fmt(rec['mean_wall_ms'])},"
+                         f"{_fmt(rec['mean_iterations'])},{rec['trials']}\n")
 
 
 def _speedup_chunk(args):
-    seed, r_idx, ratio, trial, solvers, sigma, n_corr, base_config = args
+    seed, r_idx, ratio, trial = args
     rng = np.random.default_rng(np.random.SeedSequence((seed, r_idx, trial)))
-    scene, corr, _ = make_robust_instance(n_corr, ratio, sigma, rng)
+    scene, corr, _ = make_robust_instance(SPEEDUP_CORRESPONDENCES, ratio, SPEEDUP_SIGMA, rng)
     out = []
-    for solver_id in solvers:
-        config = replace(base_config, seed=int(rng.integers(2 ** 31)))
+    for solver_id in SPEEDUP_SOLVERS:
+        config = RansacConfig(seed=int(rng.integers(2 ** 31)))
         _, report = _ransac_for(solver_id, corr, scene, config)
         out.append((report.models_scored, report.wall_time, report.iterations_run))
     return out
@@ -246,14 +231,11 @@ def read_manifest(path) -> list[tuple[str, str]]:
 
 
 def run_dataset_benchmark(manifest_path, solvers, seed: int = 0,
-                          ransac_config: RansacConfig | None = None,
-                          fixed_clock: bool = False,
-                          workers=None) -> list[BenchmarkRow]:
-    base_config = ransac_config or RansacConfig()
+                          fixed_clock: bool = False) -> list[BenchmarkRow]:
     entries = read_manifest(manifest_path)
-    tasks = [(idx, corr_path, meta_path, tuple(solvers), seed, base_config, fixed_clock)
+    tasks = [(idx, corr_path, meta_path, tuple(solvers), seed, fixed_clock)
              for idx, (corr_path, meta_path) in enumerate(entries)]
-    groups = pool_map(_dataset_chunk, tasks, resolve_workers(workers), chunksize=1)
+    groups = pool_map(_dataset_chunk, tasks, resolve_workers(), chunksize=1)
 
     rows = [row for group in groups for row in group]
     rows += aggregate_rows(rows, solvers)
@@ -261,7 +243,7 @@ def run_dataset_benchmark(manifest_path, solvers, seed: int = 0,
 
 
 def _dataset_chunk(args):
-    idx, corr_path, meta_path, solvers, seed, base_config, fixed_clock = args
+    idx, corr_path, meta_path, solvers, seed, fixed_clock = args
     rows = []
     pair_id = os.path.splitext(os.path.basename(corr_path))[0]
     try:
@@ -274,9 +256,8 @@ def _dataset_chunk(args):
             rows.append(BenchmarkRow(pair_id=pair_id, solver=solver_id, status="parse-error"))
         return rows
     for solver_id in solvers:
-        config = replace(base_config,
-                         seed=int(np.random.default_rng(
-                             np.random.SeedSequence((seed, idx))).integers(2 ** 31)))
+        config = RansacConfig(seed=int(np.random.default_rng(
+            np.random.SeedSequence((seed, idx))).integers(2 ** 31)))
         try:
             start = time.perf_counter()
             _, report = _ransac_for(solver_id, corr, meta, config)

@@ -26,9 +26,9 @@ from .fileio import (
 )
 from .geometry import CameraIntrinsics
 from .robust import RansacConfig, make_problem, ransac
-from .solvers import FocalModel, run_minimal_solver, solver_info
+from .solvers import MINIMAL_SOLVERS, FocalModel, run_minimal_solver, solver_info
 
-PROBLEMS = ("f4sift", "e3sift", "ff3sift", "f7pt", "e5pt", "ff6pt")
+PROBLEMS = tuple(MINIMAL_SOLVERS)
 
 USAGE_EXIT = 2
 PARSE_EXIT = 3
@@ -87,10 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _intrinsics(meta):
-    """(k1, k2, principal_point) of the metadata, None where it has no intrinsics."""
-    if meta is None or meta.k1 is None:
+    """(k1, k2, principal_point) of the metadata, None where it lacks them.
+
+    The principal point is K1's.
+    """
+    if meta is None:
         return None, None, None
-    return meta.k1, meta.k2, meta.principal_point
+    return meta.k1, meta.k2, None if meta.k1 is None else meta.principal_point
 
 
 def cmd_solve(args) -> int:
@@ -100,10 +103,10 @@ def cmd_solve(args) -> int:
         raise UsageError(f"{args.problem} needs exactly {info.sample_size} records, "
                          f"got {corr.shape[0]}")
     k1, k2, pp = _intrinsics(read_metadata(args.meta) if args.meta else None)
-    if info.family == "e" and k1 is not None:
-        if k2 is None:
-            raise UsageError("essential-matrix estimation needs both intrinsics; "
-                             "the metadata has K1 but no K2")
+    if info.family == "e" and (k1 is not None or k2 is not None):
+        if k1 is None or k2 is None:
+            raise UsageError("essential-matrix estimation needs both intrinsics; the metadata "
+                             + ("has K1 but no K2" if k2 is None else "has K2 but no K1"))
         try:
             k1, k2 = CameraIntrinsics.from_matrix(k1), CameraIntrinsics.from_matrix(k2)
         except ValueError as exc:  # malformed intrinsics in the metadata

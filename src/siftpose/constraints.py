@@ -232,7 +232,10 @@ def circle_compatible_angles(affinities: np.ndarray) -> tuple[np.ndarray, np.nda
     return angles, free
 
 
-def make_consistent_sift(f, rng, point_scale: float = 500.0, max_retries: int = 64):
+CONSISTENT_SIFT_TRIES = 64  # draws of p1, and of the affinity for each p1
+
+
+def make_consistent_sift(f, rng, point_scale: float = 500.0):
     """Sample a feature correspondence exactly consistent with a rank-2 F.
 
     p1 is drawn at random, p2 is placed on its epipolar line, the affinity is
@@ -243,7 +246,7 @@ def make_consistent_sift(f, rng, point_scale: float = 500.0, max_retries: int = 
     """
     m = f.m if hasattr(f, "m") else np.asarray(f, dtype=float)
     scale = np.linalg.norm(m)
-    for _ in range(max_retries):
+    for _ in range(CONSISTENT_SIFT_TRIES):
         p1 = rng.uniform(-point_scale, point_scale, size=2)
         line2 = m @ np.array([p1[0], p1[1], 1.0])
         norm2 = math.hypot(line2[0], line2[1])
@@ -266,7 +269,7 @@ def make_consistent_sift(f, rng, point_scale: float = 500.0, max_retries: int = 
             continue
         _, _, vt = np.linalg.svd(system)
         null_basis = vt[2:]
-        for _ in range(max_retries):
+        for _ in range(CONSISTENT_SIFT_TRIES):
             coeff = rng.uniform(-1.0, 1.0, size=2)
             avec = particular + coeff @ null_basis
             a = avec.reshape(2, 2)

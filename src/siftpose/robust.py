@@ -32,6 +32,10 @@ from .solvers import (
 )
 
 
+LO_MAX_ROUNDS = 10
+LO_THRESHOLD_BOOST = 48.0
+
+
 @dataclass(frozen=True)
 class RansacConfig:
     confidence: float = 0.99
@@ -39,8 +43,6 @@ class RansacConfig:
     threshold: float = 0.75
     lo_enabled: bool = True
     seed: int = 0
-    lo_max_rounds: int = 10
-    lo_threshold_boost: float = 48.0
 
     def __post_init__(self):
         if not 0.0 < self.confidence < 1.0:
@@ -90,7 +92,8 @@ def score_msac(errors: np.ndarray, threshold: float):
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     errors = np.asarray(errors, dtype=float)
-    squared = np.minimum(errors * errors, threshold * threshold)
+    # min(e, t)^2 equals min(e^2, t^2) and cannot overflow
+    squared = np.minimum(errors, threshold) ** 2
     scores = np.sum(squared, axis=-1)
     inliers = errors < threshold
     if errors.ndim == 1:
@@ -99,8 +102,9 @@ def score_msac(errors: np.ndarray, threshold: float):
 
 
 def _pairwise_distance_squared(points: np.ndarray) -> np.ndarray:
-    delta = points[:, None, :] - points[None, :, :]
-    out = delta[..., 0] ** 2 + delta[..., 1] ** 2
+    with np.errstate(over="ignore"):  # an overflowing distance is inf, never degenerate
+        delta = points[:, None, :] - points[None, :, :]
+        out = delta[..., 0] ** 2 + delta[..., 1] ** 2
     np.fill_diagonal(out, np.inf)
     return out
 
@@ -143,10 +147,11 @@ def sample_is_degenerate(pairs: np.ndarray, check_collinear: bool) -> bool:
 def _epipolar_errors(p1h: np.ndarray, p2h: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Symmetric epipolar errors: (n,) for one matrix (3, 3), (k, n) for a stack (k, 3, 3).
 
-    Non-finite errors (a vanishing line normal, a non-finite model) map to inf.
+    Non-finite errors (a vanishing or overflowing line normal, a non-finite
+    model) map to inf.
     """
     stack = m if m.ndim == 3 else m[None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lines2 = p1h @ stack.transpose(0, 2, 1)
         lines1 = p2h @ stack
         residual = np.abs(np.einsum("ij,kij->ki", p2h, lines2))
@@ -210,7 +215,7 @@ class _EpipolarProblem:
         """Raw models of each index set of a block (B, m); none where the core refuses it."""
         features = None if self.feature_rows is None else self.feature_rows[idx_block]
         rows = self.info.rows(self.point_rows[idx_block], features)
-        return [[] if isinstance(result, Exception) else result[0]
+        return [[] if isinstance(result, Exception) else result
                 for result in self.info.core(rows)]
 
     def errors(self, model) -> np.ndarray:
@@ -309,20 +314,19 @@ def make_problem(solver_id: str, corr, k1=None, k2=None, principal_point=None):
 # The harness
 # ---------------------------------------------------------------------------
 
-def local_optimize(problem, model, inliers: np.ndarray, threshold: float,
-                   max_rounds: int = 10, threshold_boost: float = 48.0):
+def local_optimize(problem, model, inliers: np.ndarray, threshold: float):
     """Iterated least-squares refinement on the re-collected inlier set.
 
     Each round refits with the non-minimal solver on inliers gathered at an
     annealed threshold (boosted at first, shrinking to the true one), which
     lets a mediocre minimal model recruit enough true inliers to escape its
     starting basin. The best model under the true-threshold score is kept;
-    iteration stops at an inlier-set fixpoint or after max_rounds. Returns
+    iteration stops at an inlier-set fixpoint or after LO_MAX_ROUNDS. Returns
     (model, score, inliers, rounds, score_history, warning).
     """
     errors = problem.errors(model)
     best_score, best_inliers = score_msac(errors, threshold)
-    current = np.nonzero(errors < threshold_boost * threshold)[0]
+    current = np.nonzero(errors < LO_THRESHOLD_BOOST * threshold)[0]
     if current.shape[0] < problem.min_lo_inliers:
         return model, best_score, best_inliers, 0, [best_score], "insufficient inliers"
     best_model = model
@@ -330,7 +334,7 @@ def local_optimize(problem, model, inliers: np.ndarray, threshold: float,
     history = [best_score]
     rounds = 0
     previous = None
-    for round_idx in range(max_rounds):
+    for round_idx in range(LO_MAX_ROUNDS):
         if current.shape[0] < problem.min_lo_inliers:
             break
         try:
@@ -348,7 +352,7 @@ def local_optimize(problem, model, inliers: np.ndarray, threshold: float,
             best_inliers = strict_inliers
         history.append(best_score)
         fit_model = refined
-        boost = max(1.0, threshold_boost * 0.5 ** (round_idx + 1))
+        boost = max(1.0, LO_THRESHOLD_BOOST * 0.5 ** (round_idx + 1))
         collected = np.nonzero(errors < boost * threshold)[0]
         if previous is not None and boost == 1.0 and np.array_equal(collected, previous):
             break
@@ -425,9 +429,7 @@ def ransac(problem, config: RansacConfig = RansacConfig()) -> RansacReport:
                 improved = True
         if improved and config.lo_enabled:
             lo_model, lo_score, lo_inliers, rounds, _, warn = local_optimize(
-                problem, best_model, best_inliers, threshold,
-                max_rounds=config.lo_max_rounds,
-                threshold_boost=config.lo_threshold_boost)
+                problem, best_model, best_inliers, threshold)
             models_scored += rounds
             lo_rounds_total += rounds
             if warn and warn not in warnings:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,18 +35,10 @@ DEGENERACY_RTOL = 1e-12
 
 @dataclass
 class SolverOutput:
-    """Models plus diagnostics shared by every solver."""
+    """A minimal solver's models and, per model, its largest normalized row residual."""
 
     models: list
-    null_space_dim: int
-    row_residuals: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
-
-    def __iter__(self):
-        return iter(self.models)
-
-    def __len__(self):
-        return len(self.models)
+    row_residuals: list
 
 
 def as_sift_array(corr) -> np.ndarray:
@@ -93,19 +85,19 @@ def normalize_sift_correspondences(corr, k1, k2) -> np.ndarray:
 # Shared numerics
 # ---------------------------------------------------------------------------
 
-def nullspace(rows: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def nullspace(rows: np.ndarray, dim: int) -> np.ndarray:
     """Trailing right singular vectors spanning an expected null space.
 
     Raises DegenerateSampleError when the system has more than ``dim``
     near-zero directions relative to the largest singular value.
     """
     rows = np.asarray(rows, dtype=float)
-    u, s, vt = np.linalg.svd(rows)
+    _, s, vt = np.linalg.svd(rows)
     kept = rows.shape[1] - dim
     if kept > 0 and (s[0] == 0.0 or (len(s) >= kept and s[kept - 1] < DEGENERACY_RTOL * s[0])):
         raise DegenerateSampleError(
             f"constraint system rank below {kept}; sample does not determine the model")
-    return vt[rows.shape[1] - dim:], s
+    return vt[rows.shape[1] - dim:]
 
 
 def _norm(v: np.ndarray) -> float:
@@ -196,12 +188,17 @@ def _frame_scale(target: float, spread: float) -> float:
     return target / spread if spread > 1e-12 else 1.0
 
 
+def _mean_radius(points: np.ndarray, center) -> float:
+    """Mean distance of the points from a centre; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.mean(np.linalg.norm(points - center, axis=1))
+
+
 def _hartley_similarity(points: np.ndarray) -> np.ndarray:
     """Similarity sending the centroid to the origin and mean radius to sqrt(2)."""
     points = np.asarray(points, dtype=float)
     centroid = points.mean(axis=0)
-    spread = np.mean(np.linalg.norm(points - centroid, axis=1))
-    return _similarity(centroid, _frame_scale(math.sqrt(2.0), spread))
+    return _similarity(centroid, _frame_scale(math.sqrt(2.0), _mean_radius(points, centroid)))
 
 
 def _apply_similarity(points: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -421,7 +418,7 @@ def essential_candidates_batch(rows: np.ndarray) -> tuple[list, np.ndarray]:
 
 def _rank2_core(rows: np.ndarray) -> list:
     """rank2_candidates_batch per sample, refusing the samples without a model."""
-    return [(models, {}) if models else DegenerateSampleError(
+    return [models if models else DegenerateSampleError(
         "sample does not determine a rank-2 model: rank-deficient system, "
         "vacuous rank-2 condition or no real root") for models in rank2_candidates_batch(rows)]
 
@@ -485,8 +482,7 @@ def _e3sift_start(rows: np.ndarray):
     Returns the null-space pencil (3, 3, 3), the constraint system (10, 10),
     the monomial solution y and the Gauss-Newton start (alpha, beta).
     """
-    basis, _ = nullspace(rows, 3)
-    pencil = basis.reshape(3, 3, 3)
+    pencil = nullspace(rows, 3).reshape(3, 3, 3)
     system = _poly.essential_constraint_system(pencil, _poly.BIVARIATE)
     y, _, _, sv = np.linalg.lstsq(system[:, :9], -system[:, 9], rcond=None)
     if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
@@ -512,8 +508,8 @@ def essential_3sift_batch(rows: np.ndarray) -> list:
     in least squares over the monomial vector; the best pair of null-space
     coefficients read from the monomial entries starts a damped Gauss-Newton,
     which runs for every solvable sample of the batch in lockstep. Returns
-    one entry per sample: ([raw 3x3 matrix], {y, alpha, beta}), or the
-    exception that refused the sample.
+    one entry per sample: [raw 3x3 matrix], or the exception that refused
+    the sample.
     """
     out: list = []
     starts = []
@@ -524,27 +520,22 @@ def essential_3sift_batch(rows: np.ndarray) -> list:
         except (SolverError, np.linalg.LinAlgError) as exc:
             out.append(exc)
     if starts:
-        pencils, systems, ys, states = (np.array(part) for part in zip(*starts))
-        states, _ = _polish_batch(systems, states, _poly.BIVARIATE_BASIS, 4)
-        solved = iter(zip(pencils, ys, states))
+        pencils, systems, _, states = zip(*starts)
+        states, _ = _polish_batch(np.array(systems), np.array(states), _poly.BIVARIATE_BASIS, 4)
+        solved = iter(zip(pencils, states))
         for i, entry in enumerate(out):
             if entry is None:
-                (n1, n2, n3), y, (alpha, beta) = next(solved)
-                out[i] = ([alpha * n1 + beta * n2 + n3],
-                          {"y": y, "alpha": float(alpha), "beta": float(beta)})
+                (n1, n2, n3), (alpha, beta) = next(solved)
+                out[i] = [alpha * n1 + beta * n2 + n3]
     return out
 
 
 def _five_point_core(rows: np.ndarray) -> list:
     """essential_candidates_batch per sample, refusing the unsolvable ones."""
     models, solvable = essential_candidates_batch(rows)
-    return [(found, {}) if ok else DegenerateSampleError(
+    return [found if ok else DegenerateSampleError(
         "constraint system rank-deficient or leading monomial block singular; "
         "sample does not determine the model") for found, ok in zip(models, solvable)]
-
-
-def _trace_diagnostics(models) -> dict:
-    return {"trace_residual": essential_residual(models[0])}
 
 
 def solve_e_3sift(corr, k1, k2) -> SolverOutput:
@@ -620,7 +611,7 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
     is no duplicate. Returns a list of (F 3x3, focal, residual) sorted by
     residual, at most fifteen entries.
     """
-    basis, _ = nullspace(rows, 3)
+    basis = nullspace(rows, 3)
     n = [basis[i].reshape(3, 3) for i in range(3)]
     m0, m1, m2, det_row = _poly.semicalibrated_constraint_system(n)
 
@@ -715,9 +706,8 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
 def _semicalibrated_batch(rows: np.ndarray) -> list:
     """Semi-calibrated core over samples (batch, r, 9), one sample at a time.
 
-    Raw models are (F, focal) pairs in the frame, with the constraint
-    residuals as extras; a sample without a real positive-focal solution is
-    refused with NoValidFocalError.
+    Raw models are (F, focal) pairs in the frame; a sample without a real
+    positive-focal solution is refused with NoValidFocalError.
     """
     out: list = []
     for sample in rows:
@@ -729,8 +719,7 @@ def _semicalibrated_batch(rows: np.ndarray) -> list:
         if not results:
             out.append(NoValidFocalError("no real solution with a positive focal length"))
             continue
-        out.append(([(f, focal) for f, focal, _ in results],
-                    {"constraint_residuals": [r for _, _, r in results]}))
+        out.append([(f, focal) for f, focal, _ in results])
     return out
 
 
@@ -839,8 +828,7 @@ def common_scale_frame(pairs: np.ndarray) -> SimilarityFrame:
     """
     c1 = pairs[:, :2].mean(axis=0)
     c2 = pairs[:, 2:4].mean(axis=0)
-    spread = 0.5 * (np.mean(np.linalg.norm(pairs[:, :2] - c1, axis=1))
-                    + np.mean(np.linalg.norm(pairs[:, 2:4] - c2, axis=1)))
+    spread = 0.5 * (_mean_radius(pairs[:, :2], c1) + _mean_radius(pairs[:, 2:4], c2))
     s = _frame_scale(math.sqrt(2.0), spread)
     return SimilarityFrame(_similarity(c1, s), _similarity(c2, s), s)
 
@@ -848,8 +836,7 @@ def common_scale_frame(pairs: np.ndarray) -> SimilarityFrame:
 def semicalibrated_frame(pairs: np.ndarray, principal_point) -> SimilarityFrame:
     """One similarity for both images: the principal point to the origin, unit mean radius."""
     pp = np.asarray(principal_point, dtype=float).reshape(2)
-    spread = np.mean(np.linalg.norm(np.vstack([pairs[:, :2] - pp, pairs[:, 2:4] - pp]), axis=1))
-    s = _frame_scale(1.0, spread)
+    s = _frame_scale(1.0, _mean_radius(np.vstack([pairs[:, :2], pairs[:, 2:4]]), pp))
     t = _similarity(pp, s)
     return SimilarityFrame(t, t, s)
 
@@ -865,18 +852,15 @@ class SolverInfo:
     layout places the feature rows: None (point rows only), "first3" (the
     rows of the first three correspondences after the point rows) or
     "interleaved" (point and feature rows alternate). core maps stacked
-    rows (batch, r, 9) in the solver's frame to one entry per sample:
-    (raw models, extras), or the exception that refuses the sample.
-    diagnostics adds extras from the framed models on the public path only.
+    rows (batch, r, 9) in the solver's frame to one entry per sample: its
+    raw models, or the exception that refuses the sample.
     """
 
     solver_id: str
     family: str  # "f", "e", or "ff"
     sample_size: int
-    null_space_dim: int
     layout: str | None
     core: Callable
-    diagnostics: Callable | None = None
 
     @property
     def uses_orientation(self) -> bool:
@@ -895,12 +879,12 @@ class SolverInfo:
 
 
 MINIMAL_SOLVERS = {info.solver_id: info for info in (
-    SolverInfo("f4sift", "f", 4, 2, "first3", _rank2_core),
-    SolverInfo("f7pt", "f", 7, 2, None, _rank2_core),
-    SolverInfo("e3sift", "e", 3, 3, "interleaved", essential_3sift_batch, _trace_diagnostics),
-    SolverInfo("e5pt", "e", 5, 4, None, _five_point_core),
-    SolverInfo("ff3sift", "ff", 3, 3, "interleaved", _semicalibrated_batch),
-    SolverInfo("ff6pt", "ff", 6, 3, None, _semicalibrated_batch),
+    SolverInfo("f4sift", "f", 4, "first3", _rank2_core),
+    SolverInfo("f7pt", "f", 7, None, _rank2_core),
+    SolverInfo("e3sift", "e", 3, "interleaved", essential_3sift_batch),
+    SolverInfo("e5pt", "e", 5, None, _five_point_core),
+    SolverInfo("ff3sift", "ff", 3, "interleaved", _semicalibrated_batch),
+    SolverInfo("ff6pt", "ff", 6, None, _semicalibrated_batch),
 )}
 
 
@@ -943,16 +927,12 @@ def run_minimal_solver(solver_id: str, corr, k1=None, k2=None,
         frame = semicalibrated_frame(pairs, (0.0, 0.0) if principal_point is None
                                      else principal_point)
     rows = _stacked_rows(info, frame.local(corr))
-    result = info.core(rows)[0]
-    if isinstance(result, Exception):
-        raise result
-    raw, extras = result
+    raw = info.core(rows)[0]
+    if isinstance(raw, Exception):
+        raise raw
     models = [frame.model(m) for m in raw]
     if frame.models_in_pixels:
         rows = _stacked_rows(info, corr)
     residuals = [float(np.max(normalized_residuals(rows[0], _as_matrix(m).reshape(-1))))
                  for m in models]
-    if info.diagnostics is not None:
-        extras.update(info.diagnostics(models))
-    return SolverOutput(models=models, null_space_dim=info.null_space_dim,
-                        row_residuals=residuals, extras=extras)
+    return SolverOutput(models=models, row_residuals=residuals)

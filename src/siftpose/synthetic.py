@@ -38,20 +38,19 @@ from .solvers import (
     solver_info,
 )
 
+SPHERE_RADIUS_RANGE = (0.1, 10.0)
+FOCAL_RANGE = (600.0, 1200.0)
+IMAGE_SIZE = (1200.0, 800.0)
+MAX_REGEN = 200  # scene draws before generate_scene gives up
+PLANE_TRIES = 40  # plane draws before a scene draw is rejected
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
-    sphere_radius_range: tuple = (0.1, 10.0)
     plane_count: int = 2
     points_per_plane: int = 10
-    noise_sigma: float = 0.0
-    focal_range: tuple = (600.0, 1200.0)
-    image_size: tuple = (1200.0, 800.0)
-    seed: int = 0
-    max_regen: int = 200
 
     def __post_init__(self):
-        if not (0.0 < self.sphere_radius_range[0] <= self.sphere_radius_range[1]):
-            raise ValueError("sphere radius range must be positive")
         if self.plane_count < 2:
             raise ValueError("at least two planes are needed for a well-posed model")
 
@@ -68,14 +67,13 @@ class SyntheticScene:
     e: EssentialMatrix
     focal: float
     homographies: tuple
-    dlt_world: tuple        # per plane: (4, 3) world points initializing the DLT
-    dlt_image1: tuple       # per plane: (4, 2) projections
+    dlt_image1: tuple       # per plane: (4, 2) projections initializing the DLT
     dlt_image2: tuple
-    points_world: np.ndarray    # (n, 3)
     plane_ids: np.ndarray       # (n,)
     correspondences: np.ndarray  # (n, 8) packed (u1 v1 q1 a1 u2 v2 q2 a2)
     affinities: np.ndarray       # (n, 2, 2)
     frame1: np.ndarray           # (n, 4) first-image (alpha, qu, qv, w)
+    noise_sigma: float = 0.0     # pixel noise of add_noise
 
     @property
     def pairs(self) -> np.ndarray:
@@ -193,11 +191,9 @@ def _second_frame(affinities: np.ndarray, frame1: np.ndarray):
     return alpha2, q1, q2
 
 
-def generate_scene(config: SyntheticConfig, rng=None) -> SyntheticScene:
-    """Draw a scene; regenerates on degenerate draws up to config.max_regen times."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    for _ in range(config.max_regen):
+def generate_scene(config: SyntheticConfig, rng) -> SyntheticScene:
+    """Draw a scene; regenerates on degenerate draws up to MAX_REGEN times."""
+    for _ in range(MAX_REGEN):
         scene = _try_generate(config, rng)
         if scene is not None:
             return scene
@@ -205,7 +201,7 @@ def generate_scene(config: SyntheticConfig, rng=None) -> SyntheticScene:
 
 
 def _try_generate(config: SyntheticConfig, rng):
-    radius = rng.uniform(*config.sphere_radius_range)
+    radius = rng.uniform(*SPHERE_RADIUS_RANGE)
     c1 = _unit(rng.standard_normal(3)) * radius
     c2 = _unit(rng.standard_normal(3)) * radius
     if np.linalg.norm(c1 - c2) < 1e-3 * radius:
@@ -216,8 +212,8 @@ def _try_generate(config: SyntheticConfig, rng):
     r1, t1 = _look_at(c1, rng, target=rng.uniform(-0.5, 0.5, 3))
     r2, t2 = _look_at(c2, rng, target=rng.uniform(-0.5, 0.5, 3))
 
-    focal = rng.uniform(*config.focal_range)
-    width, height = config.image_size
+    focal = rng.uniform(*FOCAL_RANGE)
+    width, height = IMAGE_SIZE
     k = CameraIntrinsics(focal, focal, 0.5 * width, 0.5 * height)
     km = k.matrix()
     p1 = km @ np.hstack([r1, t1[:, None]])
@@ -232,14 +228,12 @@ def _try_generate(config: SyntheticConfig, rng):
 
     pts1 = np.vstack([p["pts1"] for p in plane_data])
     pts2 = np.vstack([p["pts2"] for p in plane_data])
-    world = np.vstack([p["world"] for p in plane_data])
     affinities = np.vstack([p["jac"] for p in plane_data])
     plane_ids = np.repeat(np.arange(config.plane_count), config.points_per_plane)
     homographies = [p["h"] for p in plane_data]
-    per_plane_dlt = [p["dlt_world"] for p in plane_data]
     dlt_img1 = [p["d1"] for p in plane_data]
     dlt_img2 = [p["d2"] for p in plane_data]
-    n = world.shape[0]
+    n = pts1.shape[0]
 
     # reject draws with an epipole inside the projected point cloud
     for pmat, other_center, pts in ((p1, c2, pts1), (p2, c1, pts2)):
@@ -275,15 +269,13 @@ def _try_generate(config: SyntheticConfig, rng):
 
     return SyntheticScene(
         config=config, k1=k, k2=k, p1=p1, p2=p2, pose=pose, f=f_gt, e=e_gt,
-        focal=focal, homographies=tuple(homographies),
-        dlt_world=tuple(per_plane_dlt), dlt_image1=tuple(dlt_img1),
-        dlt_image2=tuple(dlt_img2), points_world=world,
-        plane_ids=np.asarray(plane_ids), correspondences=corr,
+        focal=focal, homographies=tuple(homographies), dlt_image1=tuple(dlt_img1),
+        dlt_image2=tuple(dlt_img2), plane_ids=np.asarray(plane_ids), correspondences=corr,
         affinities=affinities, frame1=frame1,
     )
 
 
-def _try_plane(config: SyntheticConfig, rng, c1, c2, p1, p2, tries: int = 40):
+def _try_plane(config: SyntheticConfig, rng, c1, c2, p1, p2):
     """One plane with visible, well-conditioned points, or None.
 
     Rejects grazing planes (the affinity noise channel blows up and no real
@@ -292,7 +284,7 @@ def _try_plane(config: SyntheticConfig, rng, c1, c2, p1, p2, tries: int = 40):
     homography quadruples whose re-estimation would be hypersensitive to
     noise.
     """
-    for _ in range(tries):
+    for _ in range(PLANE_TRIES):
         normal = _unit(rng.standard_normal(3))
         offset = rng.uniform(0.0, 1.0)
         center = offset * normal
@@ -326,8 +318,7 @@ def _try_plane(config: SyntheticConfig, rng, c1, c2, p1, p2, tries: int = 40):
         dets = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         if np.any(dets <= 1e-12):
             continue
-        return {"world": world[:-4], "pts1": img1[:-4], "pts2": img2[:-4],
-                "jac": jac, "h": h, "dlt_world": world[-4:], "d1": d1, "d2": d2}
+        return {"pts1": img1[:-4], "pts2": img2[:-4], "jac": jac, "h": h, "d1": d1, "d2": d2}
     return None
 
 
@@ -370,8 +361,7 @@ def add_noise(scene: SyntheticScene, sigma: float, rng) -> SyntheticScene:
     corr[:, 7] = alpha2
 
     return replace(scene, correspondences=corr, affinities=affinities,
-                   homographies=tuple(homographies),
-                   config=replace(scene.config, noise_sigma=sigma))
+                   homographies=tuple(homographies), noise_sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +453,11 @@ def _clipped_log10(values: np.ndarray) -> np.ndarray:
 
 
 def stability_histogram(solver_id: str, trials: int, seed: int = 0,
-                        config: SyntheticConfig | None = None,
                         workers: int | None = None) -> StabilityResult:
     """Noise-free error histogram over fresh scenes, one minimal solve per trial."""
     if trials < 1:
         raise ValueError("at least one trial required")
-    base = config or SyntheticConfig()
-    chunks = pool_map(_trial_chunk, [((solver_id,), (seed, t), 0.0, base)
+    chunks = pool_map(_trial_chunk, [((solver_id,), (seed, t), 0.0)
                                      for t in range(trials)], resolve_workers(workers))
     values, focals = np.array([errors for (errors,) in chunks]).T
 
@@ -486,16 +474,14 @@ def stability_histogram(solver_id: str, trials: int, seed: int = 0,
 
 
 def noise_sweep(solver_ids, sigmas, trials: int, seed: int = 0,
-                config: SyntheticConfig | None = None,
                 workers: int | None = None) -> list[dict]:
     """Mean held-out error per (solver, sigma); shared scenes across solvers.
 
     Returns one record per (sigma, solver) with keys sigma, solver,
     mean_error, failures, trials.
     """
-    base = config or SyntheticConfig()
     solver_ids = list(solver_ids)
-    tasks = [(tuple(solver_ids), (seed, s_idx, trial), float(sigma), base)
+    tasks = [(tuple(solver_ids), (seed, s_idx, trial), float(sigma))
              for s_idx, sigma in enumerate(sigmas) for trial in range(trials)]
     results = pool_map(_trial_chunk, tasks, resolve_workers(workers))
 
@@ -522,7 +508,7 @@ def _trial_chunk(args):
     Returns evaluate_trial's (error, focal error) per solver. A zero sigma
     leaves the scene as generated and draws nothing.
     """
-    solver_ids, seed_key, sigma, base = args
+    solver_ids, seed_key, sigma = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    scene = add_noise(generate_scene(base, rng), sigma, rng)
+    scene = add_noise(generate_scene(SyntheticConfig(), rng), sigma, rng)
     return [evaluate_trial(scene, solver_id, rng) for solver_id in solver_ids]

@@ -173,6 +173,21 @@ class TestBenchCommands:
             blobs.append((out_dir / "noise.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("experiment,trials,table", [("noise", "4", "noise.csv"),
+                                                         ("ransac-speedup", "2",
+                                                          "ransac_speedup.csv")])
+    def test_bench_synthetic_worker_count(self, tmp_path, monkeypatch, experiment, trials,
+                                          table):
+        # SIFTPOSE_WORKERS is the only worker control; the tables must not see it
+        blobs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SIFTPOSE_WORKERS", workers)
+            out_dir = tmp_path / f"w{workers}"
+            assert run_cli(["bench-synthetic", "--experiment", experiment, "--trials", trials,
+                            "--seed", "3", "--fixed-clock", "--out-dir", str(out_dir)]) == 0
+            blobs.append((out_dir / table).read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_bench_dataset(self, tmp_path):
         out = tmp_path / "rows.csv"
         manifest = os.path.join(FIXTURES, "mini_dataset", "manifest.txt")
@@ -219,8 +234,8 @@ class TestBenchCommands:
 
 
     def test_metadata_with_k1_only(self, tmp_path):
-        # bench-dataset refuses the pair for every family; ransac uses what K1
-        # gives: no pose for f, exit 2 for e, K1's principal point for ff
+        # bench-dataset and ransac both use what K1 gives: no pose for f, a
+        # refusal for e (an error row, exit 2), K1's principal point for ff
         with open(os.path.join(FIXTURES, "ransac_f_demo.meta")) as handle:
             text = "".join(line for line in handle if not line.startswith("K2"))
         meta = tmp_path / "pair.meta"
@@ -228,11 +243,16 @@ class TestBenchCommands:
         data = os.path.join(FIXTURES, "ransac_f_demo.csv")
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(f"{data} {meta}\n")
+        dataset = {}
         for family, solver_id in (("f", "f7pt"), ("e", "e5pt"), ("ff", "ff3sift")):
             out = tmp_path / f"{family}.csv"
             assert run_cli(["bench-dataset", "--pairs", str(manifest), "--problem", family,
                             "--solvers", solver_id, "--fixed-clock", "--out", str(out)]) == 0
-            assert [r.status for r in read_benchmark_rows(out)][0] == "error"
+            dataset[family] = read_benchmark_rows(out)[0]
+        assert dataset["f"].status == "ok" and np.isnan(dataset["f"].rot_err_deg)
+        assert dataset["e"].status == "error"
+        assert dataset["ff"].status == "ok"
+        assert np.isfinite([dataset["ff"].rot_err_deg, dataset["ff"].focal_err]).all()
         rows = {}
         for problem, code in (("f4sift", 0), ("e3sift", 2), ("ff3sift", 0)):
             out = tmp_path / f"{problem}.csv"
@@ -364,21 +384,55 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "needs both intrinsics" in err and "no K2" in err
 
+    def test_solve_essential_without_k1_names_it(self, tmp_path, capsys):
+        meta = tmp_path / "pair.meta"
+        meta.write_text("K2 800 0 600 0 800 400 0 0 1\n")
+        code = run_cli(["solve", "--problem", "e3sift",
+                        "--input", os.path.join(FIXTURES, "e3sift_clean.csv"),
+                        "--meta", str(meta)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "needs both intrinsics" in err and "no K1" in err
+
     @pytest.mark.parametrize("command,problem,code", [("solve", "f4sift", 4),
                                                       ("solve", "ff3sift", 4),
                                                       ("ransac", "f4sift", 2),
                                                       ("ransac", "ff3sift", 2)])
-    def test_coordinates_overflowing_the_frame(self, tmp_path, capsys, command, problem, code):
-        with open(os.path.join(FIXTURES, f"{problem}_clean.csv")) as handle:
-            lines = handle.read().splitlines()
-        lines[1] = "1e300" + lines[1][lines[1].index(","):]
-        data = tmp_path / "huge.csv"
-        data.write_text("\n".join(lines) + "\n")
+    def test_coordinates_overflowing_the_frame(self, tmp_path, command, problem, code):
+        data = _with_huge_coordinate(tmp_path, f"{problem}_clean.csv")
         args = [command, "--problem", problem, "--input", str(data)]
         if problem == "ff3sift" and command == "ransac":
             args += ["--meta", os.path.join(FIXTURES, "ransac_f_demo.meta")]
-        assert run_cli(args) == code
-        assert "coordinates too large for a solver frame" in capsys.readouterr().err
+        result = subprocess.run([sys.executable, "-m", "siftpose.cli", *args],
+                                capture_output=True, text=True)
+        assert result.returncode == code
+        assert "coordinates too large for a solver frame" in result.stderr
+        assert "Warning" not in result.stderr
+
+    @pytest.mark.parametrize("problem", ["e3sift", "e5pt"])
+    def test_overflowing_distances_exclude_the_record(self, tmp_path, problem):
+        # the calibrated frame has no spread to overflow; the record's squared
+        # distances and errors are inf, which only keeps it out of the inliers
+        data = _with_huge_coordinate(tmp_path, "ransac_f_demo.csv")
+        out = tmp_path / "report.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "siftpose.cli", "ransac", "--problem", problem,
+             "--input", str(data), "--meta", os.path.join(FIXTURES, "ransac_f_demo.meta"),
+             "--max-iters", "50", "--seed", "1", "--output", str(out)],
+            capture_output=True, text=True)
+        assert result.returncode == 0 and result.stderr == ""
+        assert read_benchmark_rows(out)[0].status == "ok"
+
+
+def _with_huge_coordinate(tmp_path, fixture):
+    """A copy of a fixture whose first record has u1 = 1e300."""
+    with open(os.path.join(FIXTURES, fixture)) as handle:
+        lines = handle.read().splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[first] = "1e300" + lines[first][lines[first].index(","):]
+    data = tmp_path / "huge.csv"
+    data.write_text("\n".join(lines) + "\n")
+    return data
 
 
 def _fixture_rows(name):

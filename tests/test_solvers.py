@@ -15,8 +15,10 @@ from siftpose.geometry import (
 )
 from siftpose import _poly
 from siftpose.solvers import (
+    _e3sift_start,
     _polish_batch,
     essential_3sift_batch,
+    essential_residual,
     essential_candidates_batch,
     normalize_sift_correspondences,
     rank2_candidates_batch,
@@ -207,7 +209,7 @@ class TestEssentialSolvers:
         for scene in scenes[:10]:
             idx = spanning_indices(scene, 3, rng)
             out = solve_e_3sift(scene.correspondences[idx], scene.k1, scene.k2)
-            assert out.extras["trace_residual"] < 1e-8
+            assert essential_residual(out.models[0]) < 1e-8
             assert abs(out.models[0].det()) < 1e-10
             assert out.row_residuals[0] < 1e-8
 
@@ -229,8 +231,10 @@ class TestEssentialSolvers:
         rng = np.random.default_rng(14)
         for scene in scenes[:10]:
             idx = spanning_indices(scene, 3, rng)
-            out = solve_e_3sift(scene.correspondences[idx], scene.k1, scene.k2)
-            y = out.extras["y"]
+            local = normalize_sift_correspondences(scene.correspondences[idx],
+                                                   scene.k1, scene.k2)
+            _, _, y, _ = _e3sift_start(_interleaved(epipolar_rows(local[:, [0, 1, 4, 5]]),
+                                                    sift_rows(local)))
             assert abs(y[7] ** 3 - y[0]) < 1e-6 * max(1.0, abs(y[0]))
             assert abs(y[8] ** 3 - y[1]) < 1e-6 * max(1.0, abs(y[1]))
 
@@ -240,7 +244,6 @@ class TestEssentialSolvers:
         a = solve_e_3sift(scene.correspondences[idx], scene.k1, scene.k2)
         b = solve_e_3sift(scene.correspondences[idx], scene.k1, scene.k2)
         assert np.array_equal(a.models[0].m, b.models[0].m)
-        assert a.extras["alpha"] == b.extras["alpha"]
 
     def test_e5pt_recovers_ground_truth(self, scenes):
         rng = np.random.default_rng(16)
@@ -329,11 +332,8 @@ class TestSingleCore:
                 assert type(alone) is type(result) is DegenerateSampleError
                 assert str(alone) == str(result)
                 continue
-            assert len(alone[0]) == len(result[0]) == 1
-            assert np.array_equal(alone[0][0], result[0][0])
-            assert np.array_equal(alone[1]["y"], result[1]["y"])
-            assert (alone[1]["alpha"], alone[1]["beta"]) == (result[1]["alpha"],
-                                                             result[1]["beta"])
+            assert len(alone) == len(result) == 1
+            assert np.array_equal(alone[0], result[0])
 
     @staticmethod
     def _calls(scene):
@@ -446,8 +446,14 @@ class TestFocalSolvers:
         rng = np.random.default_rng(20)
         for scene in scenes[:10]:
             idx = spanning_indices(scene, 3, rng)
-            out = solve_f_focal_3sift(scene.correspondences[idx], scene.principal_point)
-            for model, res in zip(out.models, out.extras["constraint_residuals"]):
+            corr = scene.correspondences[idx]
+            out = solve_f_focal_3sift(corr, scene.principal_point)
+            local = semicalibrated_frame(corr[:, [0, 1, 4, 5]],
+                                         scene.principal_point).local(corr)
+            found = solvers_module._solve_semicalibrated_rows(
+                _interleaved(epipolar_rows(local[:, [0, 1, 4, 5]]), sift_rows(local)))
+            assert len(found) == len(out.models)
+            for model, (_, _, res) in zip(out.models, found):
                 assert model.focal > 0.0
                 assert abs(model.fundamental.det()) < 1e-10
                 assert res < 1e-8  # trace constraint of diag(f,f,1) F diag(f,f,1)
@@ -531,7 +537,8 @@ class TestRegistry:
         dims = {}
         for solver_id, info in solvers_module.MINIMAL_SOLVERS.items():
             corr = scene.correspondences[spanning_indices(scene, info.sample_size, rng)]
-            dims[solver_id] = run_minimal_solver(solver_id, corr, **self._kwargs(scene)).null_space_dim
+            rows = solvers_module._stacked_rows(info, corr)[0]
+            dims[solver_id] = 9 - np.linalg.matrix_rank(rows)
         assert dims == {"f4sift": 2, "f7pt": 2, "e3sift": 3, "e5pt": 4, "ff3sift": 3, "ff6pt": 3}
 
     @pytest.mark.parametrize("solver_id", list(HAND_BUILT))
@@ -551,19 +558,3 @@ class TestRegistry:
                     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
                 else:
                     assert np.array_equal(a, b)
-
-    def test_trace_residual_on_public_path_only(self, scene, monkeypatch):
-        calls = []
-        residual = solvers_module.essential_residual
-        monkeypatch.setattr(solvers_module, "essential_residual",
-                            lambda e: calls.append(e) or residual(e))
-        rng = np.random.default_rng(31)
-        problem = make_problem("e3sift", scene.correspondences, k1=scene.k1, k2=scene.k2)
-        solved = problem.solve_minimal_batch(
-            np.stack([spanning_indices(scene, 3, rng) for _ in range(4)]))
-        assert all(solved) and calls == []
-        corr = scene.correspondences[spanning_indices(scene, 3, rng)]
-        out = run_minimal_solver("e3sift", corr, k1=scene.k1, k2=scene.k2)
-        assert len(calls) == 1
-        assert set(out.extras) == {"y", "alpha", "beta", "trace_residual"}
-        assert out.extras["trace_residual"] == residual(out.models[0])

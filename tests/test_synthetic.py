@@ -97,9 +97,9 @@ class TestSceneInvariants:
             assert max(abs(r) for r in residuals) < 1e-10
 
     def test_seeded_determinism(self):
-        config = SyntheticConfig(seed=99)
-        a = generate_scene(config)
-        b = generate_scene(config)
+        config = SyntheticConfig()
+        a = generate_scene(config, np.random.default_rng(99))
+        b = generate_scene(config, np.random.default_rng(99))
         assert np.array_equal(a.correspondences, b.correspondences)
         assert np.array_equal(a.f.m, b.f.m)
         assert a.focal == b.focal
@@ -107,8 +107,6 @@ class TestSceneInvariants:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SyntheticConfig(plane_count=1)
-        with pytest.raises(ValueError):
-            SyntheticConfig(sphere_radius_range=(0.0, 1.0))
 
 
 class TestAddNoise:
@@ -156,7 +154,7 @@ class TestAddNoise:
     def test_gt_model_untouched(self, scene):
         noisy = add_noise(scene, 2.0, np.random.default_rng(4))
         assert np.array_equal(noisy.f.m, scene.f.m)
-        assert noisy.config.noise_sigma == 2.0
+        assert noisy.noise_sigma == 2.0
 
 
 class TestStudies:
