@@ -11,6 +11,10 @@ bytes only). Outputs:
 
 - ransac --fixed-clock on the demo pair for f4sift, f7pt, e3sift, e5pt and
   ff3sift, with local optimization on and off, seeds 1 and 5;
+- a seeded robust instance of 1000 correspondences (90% inliers, 0.5 px
+  noise) written with its intrinsics and pose as robust_1000.csv/.meta, and
+  ransac --fixed-clock on it for f4sift and e3sift, seed 1 (the fixtures
+  hold 200 correspondences a pair);
 - bench-dataset --fixed-clock on the mini dataset for the e, f and ff
   families (ff3sift only: ff6pt RANSAC takes about 16 s a pair);
 - bench-synthetic stability, focal-stability and noise at small trial counts,
@@ -20,14 +24,19 @@ bytes only). Outputs:
 import os
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from siftpose.bench import make_robust_instance  # noqa: E402
 from siftpose.cli import main  # noqa: E402
+from siftpose.fileio import PairMetadata, write_correspondences, write_metadata  # noqa: E402
 
 FIXTURES = os.path.join(ROOT, "fixtures")
 RANSAC_SOLVERS = ("f4sift", "f7pt", "e3sift", "e5pt", "ff3sift")
 DATASET_FAMILIES = (("e", "e3sift,e5pt"), ("f", "f4sift,f7pt"), ("ff", "ff3sift"))
+LARGE_SOLVERS = ("f4sift", "e3sift")
 
 
 def run(argv) -> None:
@@ -50,6 +59,18 @@ def write_outputs(out_dir: str) -> None:
                      "--meta", os.path.join(FIXTURES, "ransac_f_demo.meta"),
                      "--lo", lo, "--seed", seed, "--fixed-clock",
                      "--output", out(f"ransac_{solver_id}_lo-{lo}_seed{seed}.csv")])
+    scene, corr, _ = make_robust_instance(1000, 0.9, 0.5, np.random.default_rng(1000))
+    write_correspondences(out("robust_1000.csv"), corr)
+    write_metadata(out("robust_1000.meta"),
+                   PairMetadata(k1=scene.k1.matrix(), k2=scene.k2.matrix(),
+                                gt_rotation=scene.pose.rotation,
+                                gt_translation=scene.pose.translation,
+                                gt_focal=scene.focal, dataset="synthetic",
+                                sequence="large", pair_id="robust_1000"))
+    for solver_id in LARGE_SOLVERS:
+        run(["ransac", "--problem", solver_id, "--input", out("robust_1000.csv"),
+             "--meta", out("robust_1000.meta"), "--seed", "1", "--fixed-clock",
+             "--output", out(f"ransac_{solver_id}_n1000_seed1.csv")])
     for family, solvers in DATASET_FAMILIES:
         run(["bench-dataset", "--pairs", os.path.join(FIXTURES, "mini_dataset", "manifest.txt"),
              "--problem", family, "--solvers", solvers, "--seed", "0", "--fixed-clock",

@@ -111,6 +111,9 @@ def cmd_solve(args) -> int:
             k1, k2 = CameraIntrinsics.from_matrix(k1), CameraIntrinsics.from_matrix(k2)
         except ValueError as exc:  # malformed intrinsics in the metadata
             raise UsageError(str(exc)) from None
+    if info.family == "ff" and k1 is None and k2 is not None:
+        raise UsageError("semi-calibrated estimation takes the principal point from K1; "
+                         "the metadata has K2 but no K1")
     output = run_minimal_solver(args.problem, corr, k1=k1, k2=k2, principal_point=pp)
     if len(output.models) == 0:
         raise SolverError("no model produced")
@@ -161,8 +164,6 @@ def cmd_ransac(args) -> int:
                                                   inlier_pairs, meta)
         except (SolverError, ValueError):
             pass
-    elif report.success and isinstance(report.model, FocalModel):
-        focal = report.model.focal
 
     pair_id = os.path.splitext(os.path.basename(args.input))[0]
     row = BenchmarkRow(pair_id=pair_id, solver=args.problem, rot_err_deg=rot,
@@ -221,7 +222,11 @@ def cmd_bench_synthetic(args) -> int:
 
 def cmd_bench_dataset(args) -> int:
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    if not solvers:
+        raise UsageError("--solvers names no solver")
     for solver_id in solvers:
+        if solver_id not in MINIMAL_SOLVERS:
+            raise UsageError(f"unknown solver '{solver_id}'; choose from {', '.join(PROBLEMS)}")
         if solver_info(solver_id).family != args.problem:
             raise UsageError(f"solver {solver_id} does not estimate problem "
                              f"family '{args.problem}'")

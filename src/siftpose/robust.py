@@ -101,47 +101,36 @@ def score_msac(errors: np.ndarray, threshold: float):
     return scores, inliers
 
 
-def _pairwise_distance_squared(points: np.ndarray) -> np.ndarray:
+def degenerate_draws(pairs: np.ndarray, draws: np.ndarray, check_collinear: bool) -> np.ndarray:
+    """Degeneracy mask (B,) of a block of index sets (B, m) into pixel pairs (n, 4).
+
+    A set is degenerate when two of its points, a repeated index included,
+    lie within one pixel in either image, or when check_collinear is set and
+    its points are collinear in either image. Only the drawn points are read.
+    """
+    order = np.arange(draws.shape[1])
+    first, second = np.nonzero(order[:, None] < order)
     with np.errstate(over="ignore"):  # an overflowing distance is inf, never degenerate
-        delta = points[:, None, :] - points[None, :, :]
-        out = delta[..., 0] ** 2 + delta[..., 1] ** 2
-    np.fill_diagonal(out, np.inf)
-    return out
-
-
-class _DegeneracyIndex:
-    """Precomputed pairwise pixel distances for fast per-sample checks."""
-
-    def __init__(self, pairs: np.ndarray, check_collinear: bool):
-        self.d1 = _pairwise_distance_squared(pairs[:, 0:2])
-        self.d2 = _pairwise_distance_squared(pairs[:, 2:4])
-        self.pairs = pairs
-        self.check_collinear = check_collinear
-
-    def block(self, draws: np.ndarray) -> np.ndarray:
-        """Vectorized usability mask over a block of index sets (B, m)."""
-        rows = draws[:, :, None]
-        cols = draws[:, None, :]
-        bad = (self.d1[rows, cols].min(axis=(1, 2)) < 1.0)
-        bad |= (self.d2[rows, cols].min(axis=(1, 2)) < 1.0)
-        # fewer than three points are never collinear
-        if self.check_collinear and draws.shape[1] >= 3:
-            for offset in (0, 2):
-                pts = self.pairs[draws][:, :, offset:offset + 2]
-                centered = pts - pts.mean(axis=1, keepdims=True)
-                a = np.einsum("bm,bm->b", centered[:, :, 0], centered[:, :, 0])
-                b = np.einsum("bm,bm->b", centered[:, :, 0], centered[:, :, 1])
-                c = np.einsum("bm,bm->b", centered[:, :, 1], centered[:, :, 1])
-                disc = np.sqrt(np.maximum((a - c) ** 2 + 4.0 * b * b, 0.0))
-                bad |= np.maximum(0.5 * (a + c - disc), 0.0) < 1e-12
-        return ~bad
+        delta = (pairs[draws[:, first]] - pairs[draws[:, second]]) ** 2
+        distance = delta[..., 0::2] + delta[..., 1::2]
+    bad = (distance < 1.0).any(axis=(1, 2))
+    # fewer than three points are never collinear; even columns hold x, odd ones y
+    if check_collinear and draws.shape[1] >= 3:
+        pts = pairs[draws]
+        centered = pts - pts.mean(axis=1, keepdims=True)
+        x, y = centered[:, :, 0::2], centered[:, :, 1::2]
+        a = np.einsum("bmk,bmk->bk", x, x)
+        b = np.einsum("bmk,bmk->bk", x, y)
+        c = np.einsum("bmk,bmk->bk", y, y)
+        disc = np.sqrt(np.maximum((a - c) ** 2 + 4.0 * b * b, 0.0))
+        bad |= (np.maximum(0.5 * (a + c - disc), 0.0) < 1e-12).any(axis=1)
+    return bad
 
 
 def sample_is_degenerate(pairs: np.ndarray, check_collinear: bool) -> bool:
     """Coincident points within one pixel in either image, or a collinear sample."""
     pairs = np.asarray(pairs, dtype=float)
-    index = _DegeneracyIndex(pairs, check_collinear)
-    return not index.block(np.arange(pairs.shape[0])[None])[0]
+    return bool(degenerate_draws(pairs, np.arange(pairs.shape[0])[None], check_collinear)[0])
 
 
 def _epipolar_errors(p1h: np.ndarray, p2h: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -202,10 +191,8 @@ class _EpipolarProblem:
         self.p1h = np.hstack([self.pairs[:, :2], ones])
         self.p2h = np.hstack([self.pairs[:, 2:4], ones])
         self.info = info
-        self.solver_id = solver_id
         self.sample_size = info.sample_size
-        # collinear samples are degenerate only for the uncalibrated families
-        self.sample_degenerate = _DegeneracyIndex(pixel_pairs, self.family != "e")
+        self.pixel_pairs = pixel_pairs
 
     @property
     def size(self) -> int:
@@ -392,7 +379,8 @@ def ransac(problem, config: RansacConfig = RansacConfig()) -> RansacReport:
         # consumes it sample by sample, in draw order
         keys = rng.random((block_size, n))
         draws = np.argpartition(keys, min(m, n - 1), axis=1)[:, :m]
-        usable = problem.sample_degenerate.block(draws)
+        # collinear samples are degenerate only for the uncalibrated families
+        usable = ~degenerate_draws(problem.pixel_pairs, draws, problem.family != "e")
         solved = [[] for _ in range(block_size)]
         if np.any(usable):
             block = problem.solve_minimal_batch(draws[usable])

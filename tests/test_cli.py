@@ -214,6 +214,17 @@ class TestBenchCommands:
                         "--solvers", "f7pt", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("solvers,message", [("f4sift,bogus", "unknown solver 'bogus'"),
+                                                 (",", "names no solver")])
+    def test_bench_dataset_bad_solver_list(self, tmp_path, capsys, solvers, message):
+        manifest = os.path.join(FIXTURES, "mini_dataset", "manifest.txt")
+        out = tmp_path / "x.csv"
+        code = run_cli(["bench-dataset", "--pairs", manifest, "--problem", "f",
+                        "--solvers", solvers, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_dataset_missing_meta_rows(self, tmp_path):
         # a manifest entry with a missing metadata file yields an error row
         # and the run continues
@@ -393,6 +404,18 @@ class TestInputErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "needs both intrinsics" in err and "no K1" in err
+
+    def test_solve_semicalibrated_without_k1_names_it(self, tmp_path, capsys):
+        # the principal point comes from K1; K2 alone must not pass for none
+        meta = tmp_path / "pair.meta"
+        meta.write_text("K2 800 0 600 0 800 400 0 0 1\n")
+        out = tmp_path / "solution.txt"
+        code = run_cli(["solve", "--problem", "ff3sift",
+                        "--input", os.path.join(FIXTURES, "ff3sift_clean.csv"),
+                        "--meta", str(meta), "--output", str(out)])
+        assert code == 2
+        assert "no K1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,problem,code", [("solve", "f4sift", 4),
                                                       ("solve", "ff3sift", 4),

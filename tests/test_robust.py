@@ -1,7 +1,10 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siftpose.bench import make_robust_instance, pose_errors
 from siftpose.geometry import rotation_error, symmetric_epipolar_errors
@@ -10,6 +13,7 @@ from siftpose.robust import (
     FocalProblem,
     FundamentalProblem,
     RansacConfig,
+    degenerate_draws,
     local_optimize,
     make_problem,
     ransac,
@@ -147,6 +151,63 @@ class TestDegeneracy:
 
     def test_generic_sample_passes(self, scene):
         assert not sample_is_degenerate(scene.pairs[:7], check_collinear=True)
+
+
+def _reference_degenerate(pairs, row, check_collinear):
+    """One index set, pair by pair: within one pixel, or all cross products zero."""
+    for offset in (0, 2):
+        pts = pairs[row][:, offset:offset + 2]
+        for i, j in itertools.combinations(range(len(row)), 2):
+            dx, dy = pts[i] - pts[j]
+            if dx * dx + dy * dy < 1.0:
+                return True
+        if check_collinear and len(row) >= 3:
+            edges = pts[1:] - pts[0]
+            if all(u[0] * v[1] - u[1] * v[0] == 0.0
+                   for u, v in itertools.combinations(edges, 2)):
+                return True
+    return False
+
+
+class TestDegenerateDraws:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 7), extra=st.integers(0, 5),
+           blocks=st.integers(1, 4), close=st.sampled_from([None, 0.5, 1.5]),
+           close_image=st.sampled_from([0, 2]), line_image=st.sampled_from([None, 0, 2]),
+           line_axis=st.sampled_from([0, 1]), repeat=st.booleans(),
+           check_collinear=st.booleans())
+    def test_matches_brute_force(self, seed, m, extra, blocks, close, close_image,
+                                 line_image, line_axis, repeat, check_collinear):
+        rng = np.random.default_rng(seed)
+        n = m + extra
+        pairs = rng.uniform(0.0, 500.0, (n, 4))
+        if line_image is not None:
+            # an axis-aligned line of integer points is exactly collinear
+            pairs[:, line_image + line_axis] = 10.0 * rng.permutation(n)
+            pairs[:, line_image + 1 - line_axis] = 7.0
+        draws = np.stack([rng.permutation(n)[:m] for _ in range(blocks)])
+        if close is not None and m >= 2:
+            i, j = draws[0, :2]
+            pairs[j, close_image:close_image + 2] = pairs[i, close_image:close_image + 2]
+            pairs[j, close_image] += close
+        if repeat and m >= 2:
+            draws[-1, -1] = draws[-1, 0]
+        expected = [_reference_degenerate(pairs, row, check_collinear) for row in draws]
+        got = degenerate_draws(pairs, draws, check_collinear)
+        assert got.shape == (blocks,)
+        assert got.tolist() == expected
+
+    def test_set_up_memory_is_linear(self):
+        # the check reads drawn points only, so no (n, n) table is built
+        corr = np.random.default_rng(4).uniform(0.5, 2.0, (2000, 8))
+        corr[:, [0, 1, 4, 5]] *= 500.0
+        tracemalloc.start()
+        try:
+            make_problem("f4sift", corr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestLocalOptimize:
