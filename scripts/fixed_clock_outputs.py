@@ -19,7 +19,11 @@ bytes only). Outputs:
   families (ff3sift only: ff6pt RANSAC takes about 16 s a pair);
 - bench-synthetic stability, focal-stability and noise at small trial counts,
   and ransac-speedup --fixed-clock;
-- solve on the three clean minimal-sample fixtures.
+- solve on the three clean minimal-sample fixtures (e3sift, f4sift, ff3sift),
+  and on seeded clean samples for e5pt, f7pt and ff6pt, written in each
+  solver's native coordinates as scripts/make_fixtures.py writes the
+  fixtures: calibrated for e5pt, pixels for f7pt and the principal point
+  at the origin for ff6pt (<solver>_clean.csv).
 """
 import os
 import sys
@@ -32,17 +36,37 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from siftpose.bench import make_robust_instance  # noqa: E402
 from siftpose.cli import main  # noqa: E402
 from siftpose.fileio import PairMetadata, write_correspondences, write_metadata  # noqa: E402
+from siftpose.solvers import normalize_sift_correspondences  # noqa: E402
+from siftpose.synthetic import SyntheticConfig, generate_scene  # noqa: E402
+
+from make_fixtures import spanning  # noqa: E402
 
 FIXTURES = os.path.join(ROOT, "fixtures")
 RANSAC_SOLVERS = ("f4sift", "f7pt", "e3sift", "e5pt", "ff3sift")
 DATASET_FAMILIES = (("e", "e3sift,e5pt"), ("f", "f4sift,f7pt"), ("ff", "ff3sift"))
 LARGE_SOLVERS = ("f4sift", "e3sift")
+FIXTURE_SOLVERS = ("e3sift", "f4sift", "ff3sift")
+POINT_SAMPLE_SEED = 2025
 
 
 def run(argv) -> None:
     code = main(argv)
     if code != 0:
         raise SystemExit(f"exit {code}: siftpose {' '.join(argv)}")
+
+
+def write_point_samples(out_dir: str) -> None:
+    """Clean e5pt, f7pt and ff6pt samples of one seeded scene, as <solver>_clean.csv."""
+    rng = np.random.default_rng(POINT_SAMPLE_SEED)
+    scene = generate_scene(SyntheticConfig(), rng)
+    e5pt = normalize_sift_correspondences(scene.correspondences[spanning(scene, 5, rng)],
+                                          scene.k1, scene.k2)
+    f7pt = scene.correspondences[spanning(scene, 7, rng)]
+    ff6pt = scene.correspondences[spanning(scene, 6, rng)].copy()
+    ff6pt[:, 0:2] -= scene.principal_point
+    ff6pt[:, 4:6] -= scene.principal_point
+    for solver_id, sample in (("e5pt", e5pt), ("f7pt", f7pt), ("ff6pt", ff6pt)):
+        write_correspondences(os.path.join(out_dir, f"{solver_id}_clean.csv"), sample)
 
 
 def write_outputs(out_dir: str) -> None:
@@ -79,9 +103,11 @@ def write_outputs(out_dir: str) -> None:
                                ("noise", "10"), ("ransac-speedup", "3")):
         run(["bench-synthetic", "--experiment", experiment, "--trials", trials,
              "--seed", "0", "--fixed-clock", "--out-dir", out_dir])
-    for solver_id in ("e3sift", "f4sift", "ff3sift"):
+    write_point_samples(out_dir)
+    for solver_id in ("e3sift", "e5pt", "f4sift", "f7pt", "ff3sift", "ff6pt"):
+        folder = FIXTURES if solver_id in FIXTURE_SOLVERS else out_dir
         run(["solve", "--problem", solver_id,
-             "--input", os.path.join(FIXTURES, f"{solver_id}_clean.csv"),
+             "--input", os.path.join(folder, f"{solver_id}_clean.csv"),
              "--output", out(f"solve_{solver_id}.txt")])
 
 

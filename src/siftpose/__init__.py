@@ -10,7 +10,6 @@ from .errors import (
     DegenerateConfigurationError,
     DegenerateSampleError,
     IllConditionedSampleError,
-    MirroredFeatureError,
     NoValidFocalError,
     ParseError,
     PointAtInfinityError,
@@ -19,6 +18,7 @@ from .errors import (
 from .geometry import (
     CameraIntrinsics,
     EssentialMatrix,
+    FocalModel,
     FundamentalMatrix,
     RelativePose,
     decompose_essential,
@@ -32,18 +32,8 @@ from .geometry import (
     symmetric_epipolar_errors,
     translation_error,
 )
-from .constraints import (
-    JacobianDecomposition,
-    decompose_jacobian,
-    decomposition_residuals,
-    epipolar_rows,
-    legacy_combined_residual,
-    make_consistent_sift,
-    sift_from_affine,
-    sift_rows,
-)
+from .constraints import epipolar_rows, sift_rows
 from .solvers import (
-    FocalModel,
     MINIMAL_SOLVERS,
     SolverOutput,
     normalize_sift_correspondences,

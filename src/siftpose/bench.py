@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from .errors import ParseError, SolverError
-from .fileio import (BenchmarkRow, PairMetadata, open_input, read_correspondences,
+from .fileio import (BenchmarkRow, PairMetadata, _fmt, open_input, read_correspondences,
                      read_metadata)
 from .geometry import (
     CameraIntrinsics,
@@ -42,10 +42,6 @@ SPEEDUP_SOLVERS = ("e3sift", "e5pt", "f4sift", "f7pt")
 SPEEDUP_CORRESPONDENCES = 200
 SPEEDUP_SIGMA = 0.5
 ROBUST_PLANES = 6  # inlier planes of make_robust_instance
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +247,7 @@ def _dataset_chunk(args):
         meta = read_metadata(meta_path)
         if meta.pair_id:
             pair_id = meta.pair_id
-    except Exception:
+    except ParseError:
         for solver_id in solvers:
             rows.append(BenchmarkRow(pair_id=pair_id, solver=solver_id, status="parse-error"))
         return rows

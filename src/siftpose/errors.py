@@ -21,10 +21,6 @@ class DegenerateConfigurationError(SolverError):
     """Pose disambiguation failed: no candidate places any point in front of both cameras."""
 
 
-class MirroredFeatureError(ValueError):
-    """Affine map is orientation-reversing (det <= 0), outside the feature model."""
-
-
 class PointAtInfinityError(ValueError):
     """Projective depth vanished; the mapped point is at infinity."""
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .geometry import CameraIntrinsics
 
 FLOAT_FMT = "%.17g"
 
@@ -111,11 +110,6 @@ class PairMetadata:
     sequence: str = ""
     pair_id: str = ""
 
-    def intrinsics(self) -> tuple[CameraIntrinsics, CameraIntrinsics]:
-        if self.k1 is None or self.k2 is None:
-            raise ValueError("metadata lacks intrinsics")
-        return CameraIntrinsics.from_matrix(self.k1), CameraIntrinsics.from_matrix(self.k2)
-
     @property
     def principal_point(self) -> np.ndarray:
         if self.k1 is None:
@@ -204,30 +198,6 @@ def write_solutions(handle, problem: str, models: list[dict]) -> None:
             handle.write(f"{key} " + _fmt(model[key]) + "\n")
 
 
-def read_solutions(path) -> tuple[str, list[dict]]:
-    problem = ""
-    models: list[dict] = []
-    current: dict | None = None
-    with open(path) as handle:
-        for line in handle:
-            text = line.strip()
-            if not text:
-                continue
-            key, _, rest = text.partition(" ")
-            if key == "problem":
-                problem = rest.strip()
-            elif key == "solutions":
-                continue
-            elif key == "solution":
-                current = {}
-                models.append(current)
-            elif key == "F":
-                current["matrix"] = np.array([float(v) for v in rest.split()]).reshape(3, 3)
-            else:
-                current[key] = float(rest)
-    return problem, models
-
-
 # ---------------------------------------------------------------------------
 # Benchmark CSV.
 # ---------------------------------------------------------------------------
@@ -252,38 +222,9 @@ class BenchmarkRow:
             str(self.models_scored), str(self.inliers), self.status,
         ])
 
-    @classmethod
-    def from_csv(cls, line: str) -> "BenchmarkRow":
-        parts = line.split(",")
-        if len(parts) != len(BENCHMARK_COLUMNS):
-            raise ParseError(f"expected {len(BENCHMARK_COLUMNS)} columns")
-        return cls(pair_id=parts[0], solver=parts[1], rot_err_deg=float(parts[2]),
-                   trans_err_deg=float(parts[3]), focal_err=float(parts[4]),
-                   wall_ms=float(parts[5]), iterations=int(parts[6]),
-                   models_scored=int(parts[7]), inliers=int(parts[8]), status=parts[9])
-
 
 def write_benchmark_rows(path, rows: list[BenchmarkRow]) -> None:
     with open(path, "w") as handle:
         handle.write(",".join(BENCHMARK_COLUMNS) + "\n")
         for row in rows:
             handle.write(row.to_csv() + "\n")
-
-
-def read_benchmark_rows(path) -> list[BenchmarkRow]:
-    rows = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if lineno == 1 and text.startswith("pair_id"):
-                if text != ",".join(BENCHMARK_COLUMNS):
-                    raise ParseError("unexpected benchmark header", path=str(path), line=1)
-                continue
-            try:
-                rows.append(BenchmarkRow.from_csv(text))
-            except (ParseError, ValueError):
-                raise ParseError("malformed benchmark row", path=str(path),
-                                 line=lineno) from None
-    return rows

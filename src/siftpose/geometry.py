@@ -15,14 +15,6 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError
 
-TWO_PI = 2.0 * math.pi
-
-
-def wrap_angle(angle: float) -> float:
-    """Normalize an angle to [0, 2*pi)."""
-    a = math.fmod(float(angle), TWO_PI)
-    return a + TWO_PI if a < 0.0 else a
-
 
 def homogenize(points: np.ndarray) -> np.ndarray:
     """Append a unit coordinate: (n, 2) -> (n, 3)."""
@@ -109,6 +101,12 @@ class EssentialMatrix:
 
 
 @dataclass(frozen=True)
+class FocalModel:
+    fundamental: FundamentalMatrix
+    focal: float
+
+
+@dataclass(frozen=True)
 class CameraIntrinsics:
     fx: float
     fy: float
@@ -165,8 +163,13 @@ class RelativePose:
 # ---------------------------------------------------------------------------
 
 def _as_matrix(model) -> np.ndarray:
+    """The 3x3 array of a model: F, E, FocalModel, a frame (F, focal) pair or an array."""
     if isinstance(model, (FundamentalMatrix, EssentialMatrix)):
         return model.m
+    if isinstance(model, tuple):
+        return model[0]
+    if isinstance(model, FocalModel):
+        return model.fundamental.m
     return np.asarray(model, dtype=float)
 
 

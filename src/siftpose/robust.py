@@ -21,9 +21,9 @@ import numpy as np
 
 from .constraints import epipolar_rows, sift_rows
 from .errors import SolverError
+from .geometry import _as_matrix
 from .solvers import (
     CalibratedFrame,
-    _as_matrix,
     as_sift_array,
     common_scale_frame,
     semicalibrated_frame,
@@ -106,7 +106,9 @@ def degenerate_draws(pairs: np.ndarray, draws: np.ndarray, check_collinear: bool
 
     A set is degenerate when two of its points, a repeated index included,
     lie within one pixel in either image, or when check_collinear is set and
-    its points are collinear in either image. Only the drawn points are read.
+    its points are collinear in either image: the smaller eigenvalue of
+    their scatter is at most 1e-12 of the larger. Only the drawn points are
+    read.
     """
     order = np.arange(draws.shape[1])
     first, second = np.nonzero(order[:, None] < order)
@@ -123,14 +125,8 @@ def degenerate_draws(pairs: np.ndarray, draws: np.ndarray, check_collinear: bool
         b = np.einsum("bmk,bmk->bk", x, y)
         c = np.einsum("bmk,bmk->bk", y, y)
         disc = np.sqrt(np.maximum((a - c) ** 2 + 4.0 * b * b, 0.0))
-        bad |= (np.maximum(0.5 * (a + c - disc), 0.0) < 1e-12).any(axis=1)
+        bad |= (a + c - disc <= 1e-12 * (a + c + disc)).any(axis=1)
     return bad
-
-
-def sample_is_degenerate(pairs: np.ndarray, check_collinear: bool) -> bool:
-    """Coincident points within one pixel in either image, or a collinear sample."""
-    pairs = np.asarray(pairs, dtype=float)
-    return bool(degenerate_draws(pairs, np.arange(pairs.shape[0])[None], check_collinear)[0])
 
 
 def _epipolar_errors(p1h: np.ndarray, p2h: np.ndarray, m: np.ndarray) -> np.ndarray:

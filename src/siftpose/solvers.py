@@ -26,7 +26,9 @@ from .errors import (
 from .geometry import (
     CameraIntrinsics,
     EssentialMatrix,
+    FocalModel,
     FundamentalMatrix,
+    _as_matrix,
     normalize_pairs,
 )
 
@@ -203,21 +205,6 @@ def _hartley_similarity(points: np.ndarray) -> np.ndarray:
 
 def _apply_similarity(points: np.ndarray, t: np.ndarray) -> np.ndarray:
     return points @ t[:2, :2].T + t[:2, 2]
-
-
-def _trace_det_residual(e: np.ndarray) -> np.ndarray:
-    """The nine entries of E E^T E - 0.5 tr(E E^T) E plus det E."""
-    eet = e @ e.T
-    t = eet @ e - 0.5 * np.trace(eet) * e
-    return np.append(t.reshape(-1), np.linalg.det(e))
-
-
-def essential_residual(e) -> float:
-    """Scale-invariant size of the trace and determinant constraint violations."""
-    m = e.m if hasattr(e, "m") else np.asarray(e, dtype=float)
-    m = m / np.linalg.norm(m)
-    r = _trace_det_residual(m)
-    return float(np.linalg.norm(r[:9])) + abs(float(r[9]))
 
 
 def _polish_batch(systems: np.ndarray, states: np.ndarray, basis, iterations: int):
@@ -557,12 +544,6 @@ def solve_e_5pt(pairs, k1, k2) -> SolverOutput:
 # Semi-calibrated solvers (unknown shared focal length)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FocalModel:
-    fundamental: FundamentalMatrix
-    focal: float
-
-
 def _demixed_monomial_vectors(v1: np.ndarray, v2: np.ndarray) -> list[tuple[float, float]]:
     """(x, y) seeds from the two trailing singular vectors of a monomial system.
 
@@ -741,15 +722,6 @@ def solve_f_focal_6pt(pairs, principal_point) -> SolverOutput:
 # ---------------------------------------------------------------------------
 # Frames: the coordinates a solver core works in
 # ---------------------------------------------------------------------------
-
-def _as_matrix(model) -> np.ndarray:
-    """The 3x3 array of a model: F, E, FocalModel, a frame (F, focal) pair or an array."""
-    if isinstance(model, (FundamentalMatrix, EssentialMatrix)):
-        return model.m
-    if isinstance(model, tuple):
-        return model[0]
-    return model.fundamental.m if isinstance(model, FocalModel) else model
-
 
 @dataclass(frozen=True)
 class SimilarityFrame:

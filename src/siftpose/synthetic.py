@@ -30,7 +30,6 @@ from .geometry import (
 )
 from .parallel import pool_map, resolve_workers
 from .solvers import (
-    FocalModel,
     _apply_similarity,
     _hartley_similarity,
     _norm,
@@ -397,12 +396,7 @@ def heldout_error(scene: SyntheticScene, solver_id: str, model, held: np.ndarray
     """Mean symmetric epipolar error of a model on held-out correspondences, in pixels."""
     info = solver_info(solver_id)
     pairs = scene.correspondences[held][:, [0, 1, 4, 5]]
-    if info.family == "e":
-        f = fundamental_from_essential(model, scene.k1, scene.k2)
-    elif isinstance(model, FocalModel):
-        f = model.fundamental
-    else:
-        f = model
+    f = fundamental_from_essential(model, scene.k1, scene.k2) if info.family == "e" else model
     return float(np.mean(symmetric_epipolar_errors(f, pairs)))
 
 

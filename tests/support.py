@@ -1,0 +1,252 @@
+"""Test support: the affinity -> orientation/scale oracle, and readers of CLI output."""
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from siftpose.constraints import circle_compatible_angles
+from siftpose.errors import DegenerateSampleError, ParseError
+from siftpose.fileio import BENCHMARK_COLUMNS, BenchmarkRow
+
+TWO_PI = 2.0 * math.pi
+
+
+def wrap_angle(angle: float) -> float:
+    """Normalize an angle to [0, 2*pi)."""
+    a = math.fmod(float(angle), TWO_PI)
+    return a + TWO_PI if a < 0.0 else a
+
+
+class MirroredFeatureError(ValueError):
+    """Affine map is orientation-reversing (det <= 0), outside the feature model."""
+
+
+@dataclass(frozen=True)
+class JacobianDecomposition:
+    """Rotation-times-upper-triangular split of a 2x2 projection Jacobian."""
+
+    alpha: float
+    qu: float
+    qv: float
+    w: float
+
+    def __post_init__(self):
+        if not (self.qu > 0.0 and self.qv > 0.0):
+            raise ValueError("axis scales must be positive")
+        object.__setattr__(self, "alpha", wrap_angle(self.alpha))
+
+    def matrix(self) -> np.ndarray:
+        c, s = math.cos(self.alpha), math.sin(self.alpha)
+        return np.array([[c, -s], [s, c]]) @ np.array([[self.qu, self.w], [0.0, self.qv]])
+
+    @property
+    def uniform_scale(self) -> float:
+        """Scale consistent with the determinant: sqrt(qu * qv)."""
+        return math.sqrt(self.qu * self.qv)
+
+
+def decompose_jacobian(j: np.ndarray) -> JacobianDecomposition:
+    """Split J into a rotation and an upper-triangular factor with positive diagonal."""
+    j = np.asarray(j, dtype=float)
+    qu = math.hypot(j[0, 0], j[1, 0])
+    if qu < 1e-15:
+        raise ValueError("first column of the Jacobian vanishes")
+    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+    if det <= 0.0:
+        raise MirroredFeatureError("orientation-reversing Jacobian")
+    alpha = math.atan2(j[1, 0], j[0, 0])
+    c, s = math.cos(alpha), math.sin(alpha)
+    w = c * j[0, 1] + s * j[1, 1]
+    qv = det / qu
+    return JacobianDecomposition(alpha=alpha, qu=qu, qv=qv, w=w)
+
+
+def affine_rows(pairs: np.ndarray, affinities: np.ndarray) -> np.ndarray:
+    """The two rows of each local affinity: pairs (n, 4), affinities (n, 2, 2) -> (n, 2, 9)."""
+    pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
+    a = np.asarray(affinities, dtype=float)
+    u1, v1, u2, v2 = pairs[:, 0], pairs[:, 1], pairs[:, 2], pairs[:, 3]
+    a1, a2, a3, a4 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
+    zero, one = np.zeros_like(u1), np.ones_like(u1)
+    return np.stack([
+        np.stack([u2 + a1 * u1, a1 * v1, a1, v2 + a3 * u1, a3 * v1, a3, one, zero, zero], axis=1),
+        np.stack([a2 * u1, u2 + a2 * v1, a2, a4 * u1, v2 + a4 * v1, a4, zero, one, zero], axis=1),
+    ], axis=1)
+
+
+def sift_from_affine(a: np.ndarray, alpha1: float, q1: float):
+    """Second-image orientation and scale induced by an affinity.
+
+    The direction comes from mapping (cos a1, sin a1) through A; the scale is
+    fixed by the determinant, q2 = q1 * sqrt(det A). Returns
+    (alpha2, q2, circle_residual) where the residual |A d| - sqrt(det A)
+    vanishes exactly when A is consistent with a feature pair.
+    """
+    a = np.asarray(a, dtype=float)
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    if det <= 0.0:
+        raise MirroredFeatureError("affinity is orientation-reversing (det <= 0)")
+    if not q1 > 0.0:
+        raise ValueError("scale must be positive")
+    direction = a @ np.array([math.cos(alpha1), math.sin(alpha1)])
+    alpha2 = wrap_angle(math.atan2(direction[1], direction[0]))
+    root = math.sqrt(det)
+    q2 = q1 * root
+    residual = float(np.linalg.norm(direction) - root)
+    return alpha2, q2, residual
+
+
+def decomposition_residuals(a, corr) -> tuple[float, float, float]:
+    """Residuals of the three constraints tying an affinity to feature parameters.
+
+    Returns (a2 a3 - a1 a4 + q^2, a3 c1 + a4 s1 - s2 q, a1 c1 + a2 s1 - c2 q)
+    with q the relative scale.
+    """
+    a = np.asarray(a, dtype=float)
+    alpha1, alpha2, q = _feature_params(corr)
+    c1, s1 = math.cos(alpha1), math.sin(alpha1)
+    c2, s2 = math.cos(alpha2), math.sin(alpha2)
+    r_scale = a[0, 1] * a[1, 0] - a[0, 0] * a[1, 1] + q * q
+    r_sin = a[1, 0] * c1 + a[1, 1] * s1 - s2 * q
+    r_cos = a[0, 0] * c1 + a[0, 1] * s1 - c2 * q
+    return float(r_scale), float(r_sin), float(r_cos)
+
+
+def legacy_combined_residual(a, corr) -> float:
+    """Residual of the older single orientation constraint.
+
+    Equals s2 * r_cos - c2 * r_sin of decomposition_residuals, so it vanishes
+    whenever both circle residuals vanish; the converse fails.
+    """
+    a = np.asarray(a, dtype=float)
+    alpha1, alpha2, _ = _feature_params(corr)
+    c1, s1 = math.cos(alpha1), math.sin(alpha1)
+    c2, s2 = math.cos(alpha2), math.sin(alpha2)
+    return float(c1 * s2 * a[0, 0] + s1 * s2 * a[0, 1]
+                 - c1 * c2 * a[1, 0] - c2 * s1 * a[1, 1])
+
+
+def _feature_params(corr) -> tuple[float, float, float]:
+    alpha1, alpha2, q = corr
+    if not q > 0.0:
+        raise ValueError("relative scale must be positive")
+    return float(alpha1), float(alpha2), float(q)
+
+
+CONSISTENT_SIFT_TRIES = 64  # draws of p1, and of the affinity for each p1
+
+
+def make_consistent_sift(f, rng, point_scale: float = 500.0):
+    """Sample a feature correspondence exactly consistent with a rank-2 F.
+
+    p1 is drawn at random, p2 is placed on its epipolar line, the affinity is
+    drawn from the two-parameter family satisfying both affine rows with
+    det A > 0, and the second-image orientation/scale follow from the
+    affinity. Returns (packed row (8,), affinity (2, 2)); the feature,
+    point and affine rows of the result annihilate vec(F) to roundoff.
+    """
+    m = f.m if hasattr(f, "m") else np.asarray(f, dtype=float)
+    scale = np.linalg.norm(m)
+    for _ in range(CONSISTENT_SIFT_TRIES):
+        p1 = rng.uniform(-point_scale, point_scale, size=2)
+        line2 = m @ np.array([p1[0], p1[1], 1.0])
+        norm2 = math.hypot(line2[0], line2[1])
+        if norm2 < 1e-9 * scale * max(1.0, point_scale):
+            continue  # p1 landed on the epipole
+        normal = line2[:2] / norm2
+        base = -line2[2] / norm2 * normal
+        tangent = np.array([-normal[1], normal[0]])
+        p2 = base + rng.uniform(-point_scale, point_scale) * tangent
+
+        line1 = m.T @ np.array([p2[0], p2[1], 1.0])
+        # Both affine rows reduce to A^T n2 = -n1 on the line normals.
+        system = np.array([
+            [line2[0], 0.0, line2[1], 0.0],
+            [0.0, line2[0], 0.0, line2[1]],
+        ])
+        rhs = -line1[:2]
+        particular, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
+        if rank < 2:
+            continue
+        _, _, vt = np.linalg.svd(system)
+        null_basis = vt[2:]
+        for _ in range(CONSISTENT_SIFT_TRIES):
+            coeff = rng.uniform(-1.0, 1.0, size=2)
+            avec = particular + coeff @ null_basis
+            a = avec.reshape(2, 2)
+            if a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] > 1e-6:
+                break
+        else:
+            continue
+        lines, free = circle_compatible_angles(a[None])
+        if free[0]:
+            alpha1 = rng.uniform(0.0, 2.0 * math.pi)
+        else:
+            alpha1 = wrap_angle(lines[0, rng.integers(2)] + rng.integers(2) * math.pi)
+        q1 = rng.uniform(0.5, 2.0)
+        alpha2, q2, _ = sift_from_affine(a, alpha1, q1)
+        return np.array([p1[0], p1[1], q1, alpha1, p2[0], p2[1], q2, alpha2]), a
+    raise DegenerateSampleError("could not sample a consistent correspondence; "
+                                "degenerate region of F")
+
+
+def _trace_det_residual(e: np.ndarray) -> np.ndarray:
+    """The nine entries of E E^T E - 0.5 tr(E E^T) E plus det E."""
+    eet = e @ e.T
+    t = eet @ e - 0.5 * np.trace(eet) * e
+    return np.append(t.reshape(-1), np.linalg.det(e))
+
+
+def essential_residual(e) -> float:
+    """Scale-invariant size of the trace and determinant constraint violations."""
+    m = e.m if hasattr(e, "m") else np.asarray(e, dtype=float)
+    m = m / np.linalg.norm(m)
+    r = _trace_det_residual(m)
+    return float(np.linalg.norm(r[:9])) + abs(float(r[9]))
+
+
+def read_solutions(path) -> tuple[str, list[dict]]:
+    problem = ""
+    models: list[dict] = []
+    current: dict | None = None
+    with open(path) as handle:
+        for line in handle:
+            text = line.strip()
+            if not text:
+                continue
+            key, _, rest = text.partition(" ")
+            if key == "problem":
+                problem = rest.strip()
+            elif key == "solutions":
+                continue
+            elif key == "solution":
+                current = {}
+                models.append(current)
+            elif key == "F":
+                current["matrix"] = np.array([float(v) for v in rest.split()]).reshape(3, 3)
+            else:
+                current[key] = float(rest)
+    return problem, models
+
+
+def read_benchmark_rows(path) -> list[BenchmarkRow]:
+    rows = []
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            if lineno == 1 and text.startswith("pair_id"):
+                if text != ",".join(BENCHMARK_COLUMNS):
+                    raise ParseError("unexpected benchmark header", path=str(path), line=1)
+                continue
+            parts = text.split(",")
+            try:
+                if len(parts) != len(BENCHMARK_COLUMNS):
+                    raise ValueError("wrong column count")
+                rows.append(BenchmarkRow(parts[0], parts[1], *map(float, parts[2:6]),
+                                         *map(int, parts[6:9]), parts[9]))
+            except ValueError:
+                raise ParseError("malformed benchmark row", path=str(path),
+                                 line=lineno) from None
+    return rows

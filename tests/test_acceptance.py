@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from siftpose.bench import make_robust_instance, _ransac_for, pose_errors
-from siftpose.constraints import (
-    decomposition_residuals,
-    legacy_combined_residual,
-    make_consistent_sift,
-    sift_rows,
-)
+from siftpose.constraints import sift_rows
 from siftpose.parallel import limit_worker_threads, worker_thread_limit
 from siftpose.robust import RansacConfig
 from siftpose.solvers import (
@@ -37,6 +32,7 @@ from siftpose.synthetic import (
 )
 
 from conftest import spanning_indices
+from support import decomposition_residuals, legacy_combined_residual, make_consistent_sift
 from test_constraints import consistent_affinity
 from test_geometry import random_rank2
 from test_solvers import best_gap
@@ -221,7 +217,7 @@ def test_criterion_7_legacy_constraint_gap():
         alpha2 = rng.uniform(0, 2 * math.pi)
         a = consistent_affinity(alpha1, alpha2, rng.uniform(0.5, 2.0),
                                 rng.uniform(-0.5, 0.5))
-        from siftpose.constraints import sift_from_affine
+        from support import sift_from_affine
 
         alpha2_got, q2, _ = sift_from_affine(a, alpha1, 1.0)
         c1, s1 = math.cos(alpha1), math.sin(alpha1)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import siftpose.bench as bench
 from siftpose.cli import main
-from siftpose.fileio import read_benchmark_rows, read_solutions
+from support import read_benchmark_rows, read_solutions
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -243,6 +244,17 @@ class TestBenchCommands:
         assert statuses["pair_000"] == "ok"
         assert list(statuses.values()).count("parse-error") == 1
 
+    def test_bench_dataset_program_fault_propagates(self, monkeypatch):
+        # only a ParseError marks a pair as a bad file; any other fault is a bug
+        def broken(path):
+            raise RuntimeError("program fault")
+
+        monkeypatch.setattr(bench, "read_metadata", broken)
+        src = os.path.join(FIXTURES, "mini_dataset")
+        args = (0, os.path.join(src, "pair_000.csv"), os.path.join(src, "pair_000.meta"),
+                ("e3sift",), 0, True)
+        with pytest.raises(RuntimeError, match="program fault"):
+            bench._dataset_chunk(args)
 
     def test_metadata_with_k1_only(self, tmp_path):
         # bench-dataset and ransac both use what K1 gives: no pose for f, a

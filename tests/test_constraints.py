@@ -5,20 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siftpose.constraints import (
-    JacobianDecomposition,
     affine_jacobians_of_homography,
-    affine_rows,
     circle_compatible_angles,
+    epipolar_rows,
+    sift_rows,
+)
+from siftpose.errors import PointAtInfinityError
+from support import (
+    JacobianDecomposition,
+    MirroredFeatureError,
+    affine_rows,
     decompose_jacobian,
     decomposition_residuals,
-    epipolar_rows,
     legacy_combined_residual,
     make_consistent_sift,
     sift_from_affine,
-    sift_rows,
+    wrap_angle,
 )
-from siftpose.errors import MirroredFeatureError, PointAtInfinityError
-from siftpose.geometry import wrap_angle
 from test_geometry import line_in_image2, point_on_line, random_rank2
 
 

@@ -7,15 +7,16 @@ from siftpose.errors import ParseError
 from siftpose.fileio import (
     BenchmarkRow,
     PairMetadata,
-    read_benchmark_rows,
     read_correspondences,
     read_metadata,
-    read_solutions,
     write_benchmark_rows,
     write_correspondences,
     write_metadata,
     write_solutions,
 )
+from siftpose.geometry import CameraIntrinsics
+
+from support import read_benchmark_rows, read_solutions
 
 
 class TestCorrespondenceFiles:
@@ -101,7 +102,7 @@ class TestMetadataFiles:
         path = tmp_path / "pair.meta"
         write_metadata(path, PairMetadata(k1=scene.k1.matrix(), k2=scene.k2.matrix()))
         meta = read_metadata(path)
-        k1, k2 = meta.intrinsics()
+        k1, k2 = CameraIntrinsics.from_matrix(meta.k1), CameraIntrinsics.from_matrix(meta.k2)
         assert k1.fx == scene.k1.fx
         assert np.allclose(meta.principal_point, scene.principal_point)
 

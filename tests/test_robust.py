@@ -18,7 +18,6 @@ from siftpose.robust import (
     make_problem,
     ransac,
     required_iterations,
-    sample_is_degenerate,
     score_msac,
 )
 
@@ -141,16 +140,27 @@ class TestDegeneracy:
         pairs = np.array([[0.0, 0.0, 5.0, 5.0],
                           [0.5, 0.5, 80.0, 80.0],
                           [60.0, 10.0, 40.0, 30.0]])
-        assert sample_is_degenerate(pairs, check_collinear=False)
+        assert degenerate_draws(pairs, np.array([[0, 1, 2]]), check_collinear=False)[0]
 
     def test_collinear_fails_for_f(self):
         t = np.arange(4, dtype=float)
         pairs = np.stack([10 * t, 5 * t, 30 + 20 * t, 40 + 3 * t], axis=1)
-        assert sample_is_degenerate(pairs, check_collinear=True)
-        assert not sample_is_degenerate(pairs, check_collinear=False)
+        draws = np.array([[0, 1, 2, 3]])
+        assert degenerate_draws(pairs, draws, check_collinear=True)[0]
+        assert not degenerate_draws(pairs, draws, check_collinear=False)[0]
 
     def test_generic_sample_passes(self, scene):
-        assert not sample_is_degenerate(scene.pairs[:7], check_collinear=True)
+        assert not degenerate_draws(scene.pairs, np.arange(7)[None], check_collinear=True)[0]
+
+    def test_collinear_to_roundoff_fails_at_pixel_scale(self):
+        # points on a slanted line carry roundoff off it: the smaller scatter
+        # eigenvalue reads up to about 1e-10 px^2 against a trace near 5e5 px^2
+        rng = np.random.default_rng(51)
+        x = rng.uniform(0.0, 1000.0, (1000, 7))
+        pairs = np.stack([x, 0.37 * x + 11.0, rng.uniform(0.0, 1000.0, (1000, 7)),
+                          rng.uniform(0.0, 1000.0, (1000, 7))], axis=-1).reshape(-1, 4)
+        draws = np.arange(pairs.shape[0]).reshape(1000, 7)
+        assert degenerate_draws(pairs, draws, check_collinear=True).all()
 
 
 def _reference_degenerate(pairs, row, check_collinear):

@@ -18,7 +18,6 @@ from siftpose.solvers import (
     _e3sift_start,
     _polish_batch,
     essential_3sift_batch,
-    essential_residual,
     essential_candidates_batch,
     normalize_sift_correspondences,
     rank2_candidates_batch,
@@ -38,6 +37,7 @@ from siftpose.robust import make_problem
 from siftpose.synthetic import SyntheticConfig, add_noise, generate_scene
 
 from conftest import spanning_indices
+from support import essential_residual
 
 
 def matrix_gap(model, truth):

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from siftpose.constraints import (
-    affine_rows,
-    decomposition_residuals,
-    epipolar_rows,
-    sift_rows,
-)
+from siftpose.constraints import epipolar_rows, sift_rows
 from siftpose.geometry import symmetric_epipolar_errors
 from siftpose.synthetic import (
     SyntheticConfig,
@@ -18,6 +13,8 @@ from siftpose.synthetic import (
     noise_sweep,
     stability_histogram,
 )
+
+from support import affine_rows, decomposition_residuals
 
 
 class TestSceneInvariants:
@@ -74,7 +71,7 @@ class TestSceneInvariants:
             j1[:, 1, 0] = qu1 * s
             j1[:, 1, 1] = w1 * s + qv1 * c
             j2 = scene.affinities @ j1
-            from siftpose.constraints import decompose_jacobian
+            from support import decompose_jacobian
 
             for i in range(corr.shape[0]):
                 dec = decompose_jacobian(j2[i])
