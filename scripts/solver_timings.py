@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Interleaved in-process A/B of per-call public-solver time between two source trees.
+"""Interleaved in-process A/B of solver time between two source trees, per call and per block.
 
 Usage: python3 scripts/solver_timings.py <src_a> <src_b> [--scenes N] [--rounds R]
                                          [--solvers f4sift,e3sift,...] [--seed S]
@@ -9,13 +9,22 @@ the src/ directory of a checkout. Both copies are imported into one
 process under distinct module names, so they share the interpreter, the
 BLAS (pinned to one thread, as the benchmark runs it) and the state of the
 machine. Copy A generates N default synthetic scenes and one clean
-plane-balanced minimal sample per scene and solver. Every round calls the
-public solver of each copy once per sample, alternating from sample to
-sample which copy goes first. A refused sample is timed like any other.
+plane-balanced minimal sample per scene and solver. Two timings run per
+solver, each interleaved the same way:
 
-Prints, per solver: the median and mean per-call time of each copy in ms,
-the ratio of the medians (b/a), the range of the per-round median ratios,
-and the number of refused calls of each copy.
+- call: every round calls the public solver of each copy once per sample,
+  alternating from sample to sample which copy goes first. A refused sample
+  is timed like any other.
+- block: the samples' rows, as copy A's robust.make_problem builds them on
+  each sample alone, are stacked into blocks of 16 (RANSAC's block size;
+  the last block wraps round to the first samples), and every round runs
+  the batched core of each copy (SolverInfo.core) once per block,
+  alternating from block to block which copy goes first.
+
+Prints, per solver and timing: the median and mean time of each copy in ms
+(per sample for blocks: the block time over 16), the ratio of the medians
+(b/a), the range of the per-round median ratios, and the number of refused
+calls of each copy (blocks: none counted).
 """
 import argparse
 import importlib
@@ -26,6 +35,8 @@ import sys
 import time
 
 import numpy as np
+
+BLOCK = 16
 
 # each call takes a copy's solvers module, the sample and the scene's (k1, k2, pp)
 CALLS = {
@@ -59,6 +70,36 @@ def time_call(solvers, call, sample) -> tuple[float, bool]:
     return time.perf_counter() - start, refused
 
 
+def time_block(core, rows) -> tuple[float, bool]:
+    start = time.perf_counter()
+    core(rows)
+    return (time.perf_counter() - start) / BLOCK, False
+
+
+def interleaved(rounds: int, items: list, runs) -> tuple[list, list, list]:
+    """Times of both copies and per-round median ratios (b/a).
+
+    runs[side](item) returns (seconds, refused); every round runs each item
+    on both copies, alternating from item to item which copy goes first.
+    """
+    times = [[], []]
+    round_ratios = []
+    refused = [0, 0]
+    for round_index in range(rounds):
+        this_round = [[], []]
+        for i, item in enumerate(items):
+            order = (0, 1) if (round_index + i) % 2 == 0 else (1, 0)
+            for side in order:
+                elapsed, failed = runs[side](item)
+                this_round[side].append(elapsed)
+                refused[side] += failed
+        round_ratios.append(statistics.median(this_round[1])
+                            / statistics.median(this_round[0]))
+        for side in (0, 1):
+            times[side].extend(this_round[side])
+    return times, round_ratios, refused
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src_a")
@@ -77,6 +118,7 @@ def main(argv=None) -> int:
     importlib.import_module("siftpose_a.parallel").limit_worker_threads()
     solvers = [importlib.import_module(f"{copy.__name__}.solvers") for copy in copies]
     synthetic = importlib.import_module("siftpose_a.synthetic")
+    robust = importlib.import_module("siftpose_a.robust")
 
     rng = np.random.default_rng(args.seed)
     scenes = [synthetic.generate_scene(synthetic.SyntheticConfig(), rng)
@@ -92,32 +134,37 @@ def main(argv=None) -> int:
              scene.principal_point) for scene in scenes]
 
     print(f"a: {os.path.abspath(args.src_a)}\nb: {os.path.abspath(args.src_b)}")
-    print(f"{args.scenes} samples per solver, {args.rounds} rounds, times in ms per call")
-    print(f"{'solver':8} {'a median':>9} {'b median':>9} {'b/a':>6} {'round b/a':>12} "
-          f"{'a mean':>8} {'b mean':>8} {'refused a/b':>12}")
+    print(f"{args.scenes} samples per solver, {args.rounds} rounds, times in ms per sample; "
+          f"blocks of {BLOCK} samples")
+    print(f"{'solver':8} {'timing':6} {'a median':>9} {'b median':>9} {'b/a':>6} "
+          f"{'round b/a':>12} {'a mean':>8} {'b mean':>8} {'refused a/b':>12}")
     for solver_id in solver_ids:
         call = CALLS[solver_id]
-        times = [[], []]
-        round_ratios = []
-        refused = [0, 0]
-        for round_index in range(args.rounds):
-            this_round = [[], []]
-            for i, (corr, pp) in enumerate(samples[solver_id]):
-                order = (0, 1) if (round_index + i) % 2 == 0 else (1, 0)
-                for side in order:
-                    k1, k2 = intrinsics[side][i]
-                    elapsed, failed = time_call(solvers[side], call, (corr, k1, k2, pp))
-                    this_round[side].append(elapsed)
-                    refused[side] += failed
-            round_ratios.append(statistics.median(this_round[1])
-                                / statistics.median(this_round[0]))
-            for side in (0, 1):
-                times[side].extend(this_round[side])
-        med = [1e3 * statistics.median(t) for t in times]
-        mean = [1e3 * statistics.fmean(t) for t in times]
-        print(f"{solver_id:8} {med[0]:9.3f} {med[1]:9.3f} {med[1] / med[0]:6.3f} "
-              f"{min(round_ratios):5.3f}-{max(round_ratios):5.3f} "
-              f"{mean[0]:8.3f} {mean[1]:8.3f} {refused[0]:>6}/{refused[1]}")
+        items = [(corr, pp, i) for i, (corr, pp) in enumerate(samples[solver_id])]
+        calls = [lambda item, side=side: time_call(
+            solvers[side], call, (item[0], *intrinsics[side][item[2]], item[1]))
+            for side in (0, 1)]
+        info = solvers[0].solver_info(solver_id)
+        rows = []
+        for (corr, pp), scene in zip(samples[solver_id], scenes):
+            kwargs = {"e": {"k1": scene.k1, "k2": scene.k2},
+                      "ff": {"principal_point": pp}}.get(info.family, {})
+            problem = robust.make_problem(solver_id, corr if info.uses_orientation
+                                          else corr[:, [0, 1, 4, 5]], **kwargs)
+            features = None if problem.feature_rows is None else problem.feature_rows[None]
+            rows.append(info.rows(problem.point_rows[None], features)[0])
+        blocks = [np.stack([rows[(start + k) % len(rows)] for k in range(BLOCK)])
+                  for start in range(0, len(rows), BLOCK)]
+        cores = [lambda block, side=side: time_block(solvers[side].solver_info(solver_id).core,
+                                                     block) for side in (0, 1)]
+        for timing, (times, round_ratios, refused) in (
+                ("call", interleaved(args.rounds, items, calls)),
+                ("block", interleaved(args.rounds, blocks, cores))):
+            med = [1e3 * statistics.median(t) for t in times]
+            mean = [1e3 * statistics.fmean(t) for t in times]
+            print(f"{solver_id:8} {timing:6} {med[0]:9.3f} {med[1]:9.3f} {med[1] / med[0]:6.3f} "
+                  f"{min(round_ratios):5.3f}-{max(round_ratios):5.3f} "
+                  f"{mean[0]:8.3f} {mean[1]:8.3f} {refused[0]:>6}/{refused[1]}")
     return 0
 
 

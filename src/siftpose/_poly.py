@@ -91,24 +91,22 @@ def bivariate_monomials_batch(states: np.ndarray) -> np.ndarray:
     return out
 
 
+# TRIVARIATE.exps3 as flat indices into [s_i s_j s_k (27), s_i s_j (9), s_i (3), 1],
+# each cubic multiplied as (s_i s_j) s_k with a squared variable first
+_TRIVARIATE_PICKS = np.array([
+    0, 1, 2, 12, 5, 24, 13, 14, 25, 26,  # x3 x2y x2z xy2 xyz xz2 y3 y2z yz2 z3
+    27, 28, 29, 31, 34, 35,  # x2 xy xz y2 zy z2
+    36, 37, 38, 39])
+
+
 def trivariate_monomials_batch(states: np.ndarray) -> np.ndarray:
     """The trivariate degree-3 basis, ordered as TRIVARIATE.exps3."""
-    x, y, z = states[:, 0], states[:, 1], states[:, 2]
-    x2, y2, z2 = x * x, y * y, z * z
-    out = np.empty((states.shape[0], 20))
-    out[:, 0:3] = x2[:, None] * states
-    out[:, 3] = x * y2
-    out[:, 4] = x * y * z
-    out[:, 5] = x * z2
-    out[:, 6:8] = y2[:, None] * states[:, 1:]
-    out[:, 8] = y * z2
-    out[:, 9] = z2 * z
-    out[:, 10:13] = x[:, None] * states
-    out[:, 13] = y2
-    out[:, 14:16] = z[:, None] * states[:, 1:]
-    out[:, 16:19] = states
-    out[:, 19] = 1.0
-    return out
+    m = states.shape[0]
+    squares = states[:, :, None] * states[:, None]
+    cubes = squares[:, :, :, None] * states[:, None, None]
+    table = np.concatenate([cubes.reshape(m, 27), squares.reshape(m, 9), states,
+                            np.ones((m, 1))], axis=1)
+    return table[:, _TRIVARIATE_PICKS]
 
 
 def semicalibrated_monomials_batch(states: np.ndarray) -> np.ndarray:

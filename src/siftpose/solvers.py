@@ -8,6 +8,7 @@ numbers.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -107,63 +108,89 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """Real roots of c3 x^3 + c2 x^2 + c1 x + c0 (closed form plus one Newton step)."""
-    coeffs = np.array([c3, c2, c1, c0], dtype=float)
-    top = np.max(np.abs(coeffs))
-    if top == 0.0:
-        return []
-    c3, c2, c1, c0 = coeffs / top
+# the trigonometric cubic roots' angle offsets, and Cardano's two cube-root arguments
+_TWO_PI_K = 2.0 * math.pi * np.arange(3)
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
 
-    roots: list[float]
-    if abs(c3) < 1e-14:
-        if abs(c2) < 1e-14:
-            roots = [] if abs(c1) < 1e-14 else [-c0 / c1]
-        else:
+
+def real_cubic_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots of c3 x^3 + c2 x^2 + c1 x + c0, one cubic per row (c3, c2, c1, c0).
+
+    coeffs has shape (n, 4). Closed form plus one Newton step, elementwise
+    over the rows. Each row is divided by its largest coefficient magnitude
+    (an all-zero row has no root) and then solved by the first branch that
+    applies:
+
+    - |c3| < 1e-14 and |c2| < 1e-14: the linear root -c0/c1, none when
+      |c1| < 1e-14 too;
+    - |c3| < 1e-14: the quadratic's two roots by the stable formula, none
+      for a negative discriminant, the single root 0 when both vanish;
+    - a depressed cubic t^3 + p t + q with |p| and |q| below 1e-14: the
+      triple root;
+    - discriminant -4p^3 - 27q^2 >= 0 and p < 0: three trigonometric roots;
+    - otherwise Cardano's one real root.
+
+    Each root takes one Newton step where the derivative is nonzero; then a
+    root within 1e-9 (1 + |x|) of an earlier root of its row is dropped
+    (_first_of_clusters). Returns the roots (n, 3) and the mask (n, 3) of
+    the kept ones; the other slots hold 0.
+    """
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    top = np.abs(coeffs).max(axis=1)
+    roots = np.zeros((coeffs.shape[0], 3))
+    found = np.zeros((coeffs.shape[0], 3), dtype=bool)
+    # a branch runs on every row once any row takes it, and keeps only its
+    # own rows, so the other rows may overflow or divide by zero
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coeffs = coeffs / top[:, None]
+        c3, c2, c1, c0 = coeffs.T
+        small = np.abs(coeffs) < 1e-14
+        degree_drop = small[:, 0] & (top != 0.0)
+        cubic = (top != 0.0) ^ degree_drop
+        if np.count_nonzero(degree_drop):
+            linear = degree_drop & small[:, 1]
+            np.copyto(roots[:, 0], -c0 / c1, where=linear)
+            found[:, 0] = linear & ~small[:, 2]
             disc = c1 * c1 - 4.0 * c2 * c0
-            if disc < 0.0:
-                roots = []
-            else:
-                sq = math.sqrt(disc)
-                qq = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else 0.5 * sq
-                if qq == 0.0:
-                    roots = [0.0]
-                else:
-                    roots = [qq / c2, c0 / qq]
-    else:
-        b, c, d = c2 / c3, c1 / c3, c0 / c3
-        shift = b / 3.0
-        p = c - b * b / 3.0
-        q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-        disc = -4.0 * p ** 3 - 27.0 * q * q
-        if abs(p) < 1e-14 and abs(q) < 1e-14:
-            roots = [-shift]
-        elif disc >= 0.0 and p < 0.0:
-            # three real roots
-            rad = 2.0 * math.sqrt(-p / 3.0)
-            arg = 3.0 * q / (p * rad)
-            arg = min(1.0, max(-1.0, arg))
-            phi = math.acos(arg)
-            roots = [rad * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift
-                     for k in range(3)]
-        else:
-            # one real root via Cardano
-            rad = math.sqrt(max(q * q / 4.0 + p ** 3 / 27.0, 0.0))
-            t = math.copysign(abs(-q / 2.0 + rad) ** (1.0 / 3.0), -q / 2.0 + rad)
-            u = math.copysign(abs(-q / 2.0 - rad) ** (1.0 / 3.0), -q / 2.0 - rad)
-            roots = [t + u - shift]
-
-    def polish(x: float) -> float:
-        val = ((c3 * x + c2) * x + c1) * x + c0
-        der = (3.0 * c3 * x + 2.0 * c2) * x + c1
-        return x - val / der if der != 0.0 else x
-
-    polished = [polish(x) for x in roots]
-    unique: list[float] = []
-    for x in polished:
-        if all(abs(x - y) > 1e-9 * (1.0 + abs(x)) for y in unique):
-            unique.append(x)
-    return unique
+            quadratic = degree_drop & ~linear & ~(disc < 0.0)
+            sq = np.sqrt(disc)
+            qq = np.where(c1 != 0.0, -0.5 * (c1 + np.copysign(sq, c1)), 0.5 * sq)
+            two = quadratic & (qq != 0.0)
+            np.copyto(roots[:, 0], qq / c2, where=two)
+            np.copyto(roots[:, 1], c0 / qq, where=two)
+            found[:, 0] |= quadratic
+            found[:, 1] = two
+        if np.count_nonzero(cubic):
+            b, c, d = (coeffs[:, 1:] / coeffs[:, :1]).T
+            shift = b / 3.0
+            p = c - b * b / 3.0
+            q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+            p3 = p ** 3
+            triple = cubic & (np.maximum(np.abs(p), np.abs(q)) < 1e-14)
+            three = cubic & ~triple & (-4.0 * p3 - 27.0 * q * q >= 0.0) & (p < 0.0)
+            one = cubic & ~(triple | three)
+            np.copyto(roots[:, 0], -shift, where=triple)
+            found[:, 0] |= cubic
+            if np.count_nonzero(three):
+                rad = 2.0 * np.sqrt(-p / 3.0)
+                phi = np.arccos(np.minimum(1.0, np.maximum(-1.0, 3.0 * q / (p * rad))))
+                trig = rad[:, None] * np.cos((phi[:, None] - _TWO_PI_K) / 3.0) - shift[:, None]
+                np.copyto(roots, trig, where=three[:, None])
+                found[:, 1:] |= three[:, None]
+            if np.count_nonzero(one):
+                rad = np.sqrt(np.maximum(q * q / 4.0 + p3 / 27.0, 0.0))
+                halves = -q / 2.0 + _PLUS_MINUS * rad
+                t, u = np.copysign(np.abs(halves) ** (1.0 / 3.0), halves)
+                np.copyto(roots[:, 0], t + u - shift, where=one)
+        c3, c2, c1, c0 = np.repeat(coeffs.T[:, :, None], 3, axis=2)
+        val = ((c3 * roots + c2) * roots + c1) * roots + c0
+        der = (3.0 * c3 * roots + 2.0 * c2) * roots + c1
+        np.subtract(roots, val / der, out=roots, where=found & (der != 0.0))
+    roots[~found] = 0.0
+    if np.count_nonzero(found[:, 1]):
+        found = _first_of_clusters(roots[:, :, None], found, 1e-9)
+        roots[~found] = 0.0
+    return roots, found
 
 
 def _similarity(center, scale: float) -> np.ndarray:
@@ -207,61 +234,63 @@ def _apply_similarity(points: np.ndarray, t: np.ndarray) -> np.ndarray:
     return points @ t[:2, :2].T + t[:2, 2]
 
 
+def _residuals(systems: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals (m, r, 1) of systems (m, r, k) at monomials (m, k), and their squared norms."""
+    r = systems @ values[:, :, None]
+    return r, (np.swapaxes(r, 1, 2) @ r)[:, 0, 0]
+
+
 def _polish_batch(systems: np.ndarray, states: np.ndarray, basis, iterations: int):
     """Lockstep damped Gauss-Newton over many (system, start) pairs.
 
     systems (m, r, k) holds one polynomial system per start as r coefficient
     rows over a k-term monomial basis; basis is a (monomials, gradient) pair
-    of batched evaluators from _poly. Every iteration solves the normal
-    equations, damped by 1e-300 I, and tries the step and up to five halvings
+    of batched evaluators from _poly over two or three variables. Every
+    iteration solves the normal equations, damped by 1e-300 I, in closed
+    form through their adjugate, and tries the step and up to five halvings
     of it, taking the first whose squared residual does not grow. A start
-    stops once its squared residual is at most 1e-28, its normal equations
-    are singular or give a non-finite step, or no trial is taken; the others
-    go on, and a stopped start never moves again. Returns the refined states
-    and their residual norms (m,).
+    stops once its squared residual is at most 1e-28, the determinant of its
+    normal equations is zero or not finite, its step is not finite, or no
+    trial is taken; the others go on, and a stopped start never moves again.
+    Returns the refined states and their residual norms (m,).
     """
     monomials, gradient = basis
     states = states.copy()
-    r = np.einsum("mij,mj->mi", systems, monomials(states))
-    size = np.einsum("mi,mi->m", r, r)
     damping = 1e-300 * np.eye(states.shape[1])
     live = np.ones(states.shape[0], dtype=bool)
-    for _ in range(iterations):
-        live &= size > 1e-28
-        if not live.any():
-            break
-        jac = np.einsum("mij,mjk->mik", systems, gradient(states))
-        jtj = np.einsum("mik,mil->mkl", jac, jac)
-        jtr = np.einsum("mik,mi->mk", jac, r)
-        jtj += damping
-        steps = np.zeros_like(states)
-        try:
-            steps[live] = np.linalg.solve(jtj[live], -jtr[live, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            # a singular start stops alone, as it would when polished by itself
-            for i in np.nonzero(live)[0]:
-                try:
-                    steps[i] = np.linalg.solve(jtj[i:i + 1], -jtr[i:i + 1, :, None])[0, :, 0]
-                except np.linalg.LinAlgError:
-                    live[i] = False
-        live &= np.isfinite(steps).all(axis=1)
-        steps[~live] = 0.0
-        # every start still searching has had the same number of halvings
-        remaining = live.copy()
-        scale = 1.0
-        for _ in range(6):
-            trial = states + scale * steps
-            r_t = np.einsum("mij,mj->mi", systems, monomials(trial))
-            size_t = np.einsum("mi,mi->m", r_t, r_t)
-            accept = remaining & ((size_t <= size) | (size_t < 1e-28))
-            np.copyto(states, trial, where=accept[:, None])
-            np.copyto(r, r_t, where=accept[:, None])
-            np.copyto(size, size_t, where=accept)
-            remaining &= ~accept
-            if not remaining.any():
+    # a non-finite product only stops its start: the determinant and step
+    # tests below catch it, and a non-finite residual is never accepted
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r, size = _residuals(systems, monomials(states))
+        for _ in range(iterations):
+            live &= size > 1e-28
+            if not live.any():
                 break
-            scale *= 0.5
-        live &= ~remaining
+            jac = systems @ gradient(states)
+            jac_t = np.swapaxes(jac, 1, 2)
+            jtj = jac_t @ jac + damping
+            adj = _batched_adjugate(jtj)
+            # rounded products summed without fused multiply-adds, so an
+            # exactly singular system gives an exactly zero determinant
+            det = (adj[:, 0] * jtj[:, :, 0]).sum(axis=1)
+            steps = (adj @ (jac_t @ -r))[..., 0] / det[:, None]
+            live &= (det != 0.0) & np.isfinite(det) & np.isfinite(steps).all(axis=1)
+            steps[~live] = 0.0
+            # every start still searching has had the same number of halvings
+            remaining = live.copy()
+            scale = 1.0
+            for _ in range(6):
+                trial = states + scale * steps
+                r_t, size_t = _residuals(systems, monomials(trial))
+                accept = remaining & ((size_t <= size) | (size_t < 1e-28))
+                np.copyto(states, trial, where=accept[:, None])
+                np.copyto(r, r_t, where=accept[:, None, None])
+                np.copyto(size, size_t, where=accept)
+                remaining &= ~accept
+                if not remaining.any():
+                    break
+                scale *= 0.5
+            live &= ~remaining
     return states, np.sqrt(size)
 
 
@@ -269,28 +298,38 @@ def _polish_batch(systems: np.ndarray, states: np.ndarray, basis, iterations: in
 # Batched kernels for the sampling loop
 # ---------------------------------------------------------------------------
 
+# flat (row-major) indices into a 3x3 matrix of the four factors whose
+# products form the adjugate: entry [i, k] reads m[k + 1, i + 1] m[k + 2, i + 2]
+# - m[k + 2, i + 1] m[k + 1, i + 2] (indices mod 3), so row i of the adjugate
+# is the cross product of columns i + 1 and i + 2
+_ADJUGATE_FACTORS = np.array([
+    [[3 * ((k + r) % 3) + (i + c) % 3 for k in range(3)] for i in range(3)]
+    for r, c in ((1, 1), (2, 2), (2, 1), (1, 2))])
+
+
 def _batched_adjugate(m: np.ndarray) -> np.ndarray:
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1]
-    out[..., 0, 1] = m[..., 0, 2] * m[..., 2, 1] - m[..., 0, 1] * m[..., 2, 2]
-    out[..., 0, 2] = m[..., 0, 1] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 1]
-    out[..., 1, 0] = m[..., 1, 2] * m[..., 2, 0] - m[..., 1, 0] * m[..., 2, 2]
-    out[..., 1, 1] = m[..., 0, 0] * m[..., 2, 2] - m[..., 0, 2] * m[..., 2, 0]
-    out[..., 1, 2] = m[..., 0, 2] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 2]
-    out[..., 2, 0] = m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]
-    out[..., 2, 1] = m[..., 0, 1] * m[..., 2, 0] - m[..., 0, 0] * m[..., 2, 1]
-    out[..., 2, 2] = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    return out
+    """Adjugate of each 2x2 or 3x3 matrix of a stack: adj(m) m = det(m) I."""
+    if m.shape[-1] == 2:
+        out = np.empty_like(m)
+        out[..., 0, 0] = m[..., 1, 1]
+        out[..., 0, 1] = -m[..., 0, 1]
+        out[..., 1, 0] = -m[..., 1, 0]
+        out[..., 1, 1] = m[..., 0, 0]
+        return out
+    f = m.reshape(m.shape[:-2] + (9,))[..., _ADJUGATE_FACTORS]
+    return f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
 
 
 def rank2_candidates_batch(rows: np.ndarray) -> list:
     """All rank-2 matrices in the two-dimensional null space of each 7x9 system.
 
-    rows has shape (batch, 7, 9). Returns one list of raw 3x3 matrices per
-    sample. A list is empty where the sample does not determine the model:
-    the system is rank-deficient (all-zero rows included), every pencil
-    member is rank-deficient (a dominant-plane sample), or the rank-2 cubic
-    has no real root.
+    rows has shape (batch, 7, 9). The rank-2 condition det(a + mu b) = 0 on
+    the pencil of the two trailing singular vectors is one cubic in mu per
+    sample, all solved at once by real_cubic_roots. Returns one list of raw
+    3x3 matrices per sample, in root order. A list is empty where the sample
+    does not determine the model: the system is rank-deficient (all-zero
+    rows included), every pencil member is rank-deficient (a dominant-plane
+    sample), or the rank-2 cubic has no real root.
     """
     rows = np.asarray(rows, dtype=float)
     _, s, vt = np.linalg.svd(rows)
@@ -298,33 +337,62 @@ def rank2_candidates_batch(rows: np.ndarray) -> list:
     f1 = vt[:, 7].reshape(-1, 3, 3)
     f2 = vt[:, 8].reshape(-1, 3, 3)
     a, b = f2, f1 - f2
-    adj_a = _batched_adjugate(a)
-    adj_b = _batched_adjugate(b)
-    c0 = np.linalg.det(a)
-    c1 = np.einsum("nij,nji->n", adj_a, b)
-    c2 = np.einsum("nij,nji->n", adj_b, a)
-    c3 = np.linalg.det(b)
-    vacuous = np.maximum.reduce([np.abs(c0), np.abs(c1), np.abs(c2), np.abs(c3)]) < 1e-10
-    out = []
-    for i in range(rows.shape[0]):
-        if not good[i] or vacuous[i]:
-            out.append([])
-            continue
-        roots = real_cubic_roots(c3[i], c2[i], c1[i], c0[i])
-        out.append([a[i] + mu * b[i] for mu in roots])
-    return out
+    # det(a + mu b) = c3 mu^3 + c2 mu^2 + c1 mu + c0
+    coeffs = np.empty((rows.shape[0], 4))
+    coeffs[:, 0] = np.linalg.det(b)
+    coeffs[:, 1] = np.einsum("nij,nji->n", _batched_adjugate(b), a)
+    coeffs[:, 2] = np.einsum("nij,nji->n", _batched_adjugate(a), b)
+    coeffs[:, 3] = np.linalg.det(a)
+    vacuous = np.abs(coeffs).max(axis=1) < 1e-10
+    roots, found = real_cubic_roots(coeffs)
+    found &= (good & ~vacuous)[:, None]
+    models = a[:, None] + roots[:, :, None, None] * b[:, None]
+    return [list(m[keep]) for m, keep in zip(models, found)]
+
+
+@functools.cache
+def _earlier(k: int) -> np.ndarray:
+    """The read-only (k, k) mask of index pairs [j, i] with i < j."""
+    mask = np.tri(k, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _first_of_clusters(points: np.ndarray, valid: np.ndarray, rtol: float) -> np.ndarray:
+    """Mask of the valid points (batch, k, d) with no earlier valid point of their row near.
+
+    Point j of a row is dropped when a valid point i < j of that row lies
+    within rtol (1 + |p_j|) of it. The points must be finite.
+    """
+    diff = points[:, :, None] - points[:, None]
+    dist = np.sqrt(np.einsum("bjid,bjid->bji", diff, diff))
+    tol = rtol * (1.0 + np.sqrt(np.einsum("bjd,bjd->bj", points, points)))
+    near = (dist <= tol[:, :, None]) & _earlier(points.shape[1]) & valid[:, None]
+    return valid & ~np.logical_or.reduce(near, axis=2)
 
 
 def essential_candidates_batch(rows: np.ndarray) -> tuple[list, np.ndarray]:
     """Five-point core over samples: rows has shape (batch, 5, 9).
 
-    The four-dimensional null space combination feeds the ten trace and
-    determinant equations; an action matrix over the degree-two quotient
-    basis yields the candidate roots, refined by damped Gauss-Newton.
+    The four-dimensional null space combination E = x P0 + y P1 + z P2 + P3
+    feeds the ten trace and determinant equations; an action matrix over the
+    degree-two quotient basis yields the candidate roots (x, y, z), refined
+    by damped Gauss-Newton. Everything runs as array operations over the
+    samples and their ten eigenvector slots:
+
+    - a slot is a candidate when its eigenvalue w has |Im w| at most
+      1e-6 max(1, |Re w|) and its eigenvector, turned real by the phase of
+      its largest entry, has |v_9| at least 1e-10 |v|; the root is v_6..8 / v_9;
+    - in eigenvalue order, a candidate within 1e-9 (1 + |c|) of an earlier
+      candidate of its sample is dropped;
+    - after the polish, a root whose residual exceeds 1e-6 (|c|^2 + 1)^1.5
+      (the residual of the unit-norm E) is cut, and a root within
+      1e-7 (1 + |c|) of an earlier uncut root of its sample is dropped.
+
     Returns (models, solvable): one list of raw essential matrices per
-    sample, and a mask that is False where the system is rank-deficient or
-    its leading monomial block is singular. A solvable sample may still
-    keep no candidate.
+    sample, in eigenvalue order, and a mask that is False where the system
+    is rank-deficient or its leading monomial block is singular. A solvable
+    sample may still keep no candidate.
     """
     rows = np.asarray(rows, dtype=float)
     batch = rows.shape[0]
@@ -339,11 +407,10 @@ def essential_candidates_batch(rows: np.ndarray) -> tuple[list, np.ndarray]:
     try:
         reduced[good] = np.linalg.solve(lead[good], rest[good])
     except np.linalg.LinAlgError:
-        for i in np.nonzero(good)[0]:
-            try:
-                reduced[i] = np.linalg.solve(lead[i], rest[i])
-            except np.linalg.LinAlgError:
-                solvable[i] = False
+        # the solve fails on an exactly zero LU pivot, which slogdet reports
+        # as sign 0 from the same factorization
+        solvable &= np.linalg.slogdet(lead)[0] != 0.0
+        reduced[solvable] = np.linalg.solve(lead[solvable], rest[solvable])
 
     action = np.zeros((batch, 10, 10))
     # multiplication by z maps the quotient basis [x2 xy xz y2 yz z2 x y z 1]
@@ -357,46 +424,30 @@ def essential_candidates_batch(rows: np.ndarray) -> tuple[list, np.ndarray]:
     action[~solvable] = 0.0
     eigvals, eigvecs = np.linalg.eig(action)
 
-    results = [[] for _ in range(batch)]
-    flat_states = []
-    owners = []
-    for i in range(batch):
-        if not solvable[i]:
-            continue
-        candidates = []
-        for j in range(10):
-            w = eigvals[i, j]
-            if abs(w.imag) > 1e-6 * max(1.0, abs(w.real)):
-                continue
-            vec = eigvecs[i, :, j]
-            pivot = vec[np.argmax(np.abs(vec))]
-            vec = (vec * np.conj(pivot) / abs(pivot)).real
-            if abs(vec[9]) < 1e-10 * np.linalg.norm(vec):
-                continue
-            cand = vec[6:9] / vec[9]
-            tol = 1e-9 * (1.0 + _norm(cand))
-            if all(_norm(cand - prev) > tol for prev in candidates):
-                candidates.append(cand)
-        for cand in candidates:
-            flat_states.append(cand)
-            owners.append(i)
-    if flat_states:
-        states = np.asarray(flat_states)
-        systems = system[np.asarray(owners)]
-        states, residuals = _polish_batch(systems, states, _poly.TRIVARIATE_BASIS, 3)
-        per_sample: dict = {}
-        for k, i in enumerate(owners):
-            x = states[k]
-            scale = (x @ x + 1.0) ** 1.5  # orthonormal basis: ||E|| = sqrt(|x|^2 + 1)
-            if residuals[k] / scale > 1e-6:
-                continue
-            kept = per_sample.setdefault(i, [])
-            tol = 1e-7 * (1.0 + _norm(x))
-            if any(_norm(x - prev) < tol for prev in kept):
-                continue
-            kept.append(x)
-            results[i].append(np.einsum("k,kij->ij", np.append(x, 1.0), pencil[i]))
-    return results, solvable
+    # (batch, slot, entry): one eigenvector per slot
+    vecs = np.swapaxes(eigvecs, 1, 2)
+    pivot = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=2)[..., None], axis=2)
+    vecs = (vecs * np.conj(pivot) / np.abs(pivot)).real
+    valid = (solvable[:, None]
+             & (np.abs(eigvals.imag) <= 1e-6 * np.maximum(1.0, np.abs(eigvals.real)))
+             & (np.abs(vecs[..., 9]) >= 1e-10 * np.linalg.norm(vecs, axis=2)))
+    cands = np.divide(vecs[..., 6:9], vecs[..., 9:], out=np.zeros((batch, 10, 3)),
+                      where=valid[..., None])
+    owners, slots = np.nonzero(_first_of_clusters(cands, valid, 1e-9))
+    polished = np.zeros_like(cands)
+    kept = np.zeros_like(valid)
+    if owners.size:
+        states, residuals = _polish_batch(system[owners], cands[owners, slots],
+                                          _poly.TRIVARIATE_BASIS, 3)
+        # orthonormal basis: ||E|| = sqrt(|x|^2 + 1)
+        scale = (np.sum(states * states, axis=1) + 1.0) ** 1.5
+        polished[owners, slots] = states
+        kept[owners, slots] = ~(residuals / scale > 1e-6)
+    owners, slots = np.nonzero(_first_of_clusters(polished, kept, 1e-7))
+    weights = np.concatenate([polished[owners, slots], np.ones((owners.size, 1))], axis=1)
+    models = np.einsum("mk,mkij->mij", weights, pencil[owners])
+    splits = np.cumsum(np.bincount(owners, minlength=batch))[:-1]
+    return [list(found) for found in np.split(models, splits)], solvable
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +629,20 @@ def _demixed_monomial_vectors(v1: np.ndarray, v2: np.ndarray) -> list[tuple[floa
     return unique
 
 
+def _same_focal_model(a, b) -> bool:
+    """Whether two (unit F, focal, residual) solutions are one model.
+
+    The gauge-free test: the unit-norm F agree up to sign within 1e-4 in
+    every entry, and the focal lengths within 1e-4 of the larger. F is
+    compared in the solver frame, where it reads 20-100 times the gap of the
+    pixel F; pairs this close are one root that the polish left split near a
+    double root, while distinct roots of clean samples lie at least 2e-4
+    apart in F and 6e-3 in focal.
+    """
+    gap = min(np.abs(a[0] - b[0]).max(), np.abs(a[0] + b[0]).max())
+    return gap <= 1e-4 and abs(a[1] - b[1]) <= 1e-4 * max(a[1], b[1])
+
+
 def _solve_semicalibrated_rows(rows: np.ndarray):
     """Shared back-end of the 3-feature and 6-point focal solvers.
 
@@ -586,11 +651,13 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
     inverse squared focal length w through the quadratic eigenvalue problem
     of the trace constraint. Candidate (x, y, w) triples from each root are
     polished together by one lockstep Gauss-Newton on the trace and
-    determinant rows; in candidate order, a candidate within 2e-3 of an
-    accepted solution is dropped, and a polished one is accepted when its w
-    is above 1e-14, the residual of its unit-norm F is at most 1e-8 and it
-    is no duplicate. Returns a list of (F 3x3, focal, residual) sorted by
-    residual, at most fifteen entries.
+    determinant rows. In candidate order, a candidate whose start lies
+    within 2e-3 of an accepted polished state is dropped, and a polished one
+    is accepted when its w is above 1e-14 and the residual of its unit-norm
+    F is at most 1e-8. Accepted solutions that are one model
+    (_same_focal_model: the (x, y, w) gauge of the null space plays no
+    part) are merged into the one with the smaller residual. Returns a list
+    of (F 3x3, focal, residual) sorted by residual, at most fifteen entries.
     """
     basis = nullspace(rows, 3)
     n = [basis[i].reshape(3, 3) for i in range(3)]
@@ -635,21 +702,25 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
         if all(_norm(cand - prev) > tol for prev in candidates):
             candidates.append(cand)
 
-    for x, y, w in seeds:
-        push_candidate(x, y, w)
-        # re-solve w from the trace rows at this (x, y); eigenvalues are
-        # unreliable when two roots cluster in w
+    # re-solve w from the trace rows at each seed's (x, y); eigenvalues are
+    # unreliable when two roots cluster in w
+    null_vectors = []
+    for x, y, _ in seeds:
         mono = _poly.bivariate_monomials_batch(np.array([[x, y]]))[0]
         quad = np.stack([m2 @ mono, m1 @ mono, m0 @ mono], axis=1)
-        _, _, qvt = np.linalg.svd(quad)
+        null_vectors.append(np.linalg.svd(quad)[2])
+    # rank-1 stack (all nine quadratics share both roots): the dominant
+    # direction carries the shared quadratic's coefficients
+    shared, found = real_cubic_roots(
+        np.array([np.append(0.0, qvt[0]) for qvt in null_vectors]).reshape(-1, 4))
+    for (x, y, w), qvt, roots, keep in zip(seeds, null_vectors, shared, found):
+        push_candidate(x, y, w)
         with np.errstate(divide="ignore", invalid="ignore"):
             # rank-2 stack: the null vector is the monomial vector (w^2, w, 1)
             for w_new in (qvt[-1][1] / qvt[-1][2], qvt[-1][0] / qvt[-1][1]):
                 if np.isfinite(w_new):
                     push_candidate(x, y, float(w_new))
-        # rank-1 stack (all nine quadratics share both roots): the dominant
-        # direction carries the shared quadratic's coefficients
-        for w_new in real_cubic_roots(0.0, *qvt[0]):
+        for w_new in roots[keep]:
             push_candidate(x, y, float(w_new))
 
     if not candidates:
@@ -658,7 +729,7 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
     polished, residuals = _polish_batch(system, np.array(candidates),
                                         _poly.SEMICALIBRATED_BASIS, 14)
     solutions: list[np.ndarray] = []
-    results = []
+    results: list = []
     for cand, sol, res in zip(candidates, polished, residuals.tolist()):
         if any(float(np.abs(cand - prev).max()) < 2e-3 * (1.0 + float(np.abs(cand).max()))
                for prev in solutions):
@@ -674,11 +745,13 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
         res_size = res / norm ** 3
         if res_size > 1e-8:
             continue
-        tol = 1e-7 * (1.0 + _norm(sol))
-        if any(_norm(sol - prev) < tol for prev in solutions):
-            continue
         solutions.append(sol)
-        results.append((f / norm, 1.0 / math.sqrt(w), res_size))
+        model = (f / norm, 1.0 / math.sqrt(w), res_size)
+        same = next((k for k, kept in enumerate(results) if _same_focal_model(kept, model)), None)
+        if same is None:
+            results.append(model)
+        elif res_size < results[same][2]:
+            results[same] = model
 
     results.sort(key=lambda item: item[2])
     return results[:15]

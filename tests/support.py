@@ -1,4 +1,4 @@
-"""Test support: the affinity -> orientation/scale oracle, and readers of CLI output."""
+"""Test support: the affinity -> orientation/scale oracle, a scalar cubic and CLI output readers."""
 import math
 from dataclasses import dataclass
 
@@ -203,6 +203,55 @@ def essential_residual(e) -> float:
     m = m / np.linalg.norm(m)
     r = _trace_det_residual(m)
     return float(np.linalg.norm(r[:9])) + abs(float(r[9]))
+
+
+def scalar_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
+    """One cubic's real roots, branch by branch in Python floats.
+
+    The reference for the batched solvers.real_cubic_roots: the same closed
+    form, Newton step and 1e-9 de-duplication, one root at a time.
+    """
+    coeffs = np.array([c3, c2, c1, c0], dtype=float)
+    top = np.max(np.abs(coeffs))
+    if top == 0.0:
+        return []
+    c3, c2, c1, c0 = coeffs / top
+    if abs(c3) < 1e-14:
+        if abs(c2) < 1e-14:
+            roots = [] if abs(c1) < 1e-14 else [-c0 / c1]
+        else:
+            disc = c1 * c1 - 4.0 * c2 * c0
+            if disc < 0.0:
+                roots = []
+            else:
+                sq = math.sqrt(disc)
+                qq = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else 0.5 * sq
+                roots = [0.0] if qq == 0.0 else [qq / c2, c0 / qq]
+    else:
+        b, c, d = c2 / c3, c1 / c3, c0 / c3
+        shift = b / 3.0
+        p = c - b * b / 3.0
+        q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+        disc = -4.0 * p ** 3 - 27.0 * q * q
+        if abs(p) < 1e-14 and abs(q) < 1e-14:
+            roots = [-shift]
+        elif disc >= 0.0 and p < 0.0:
+            rad = 2.0 * math.sqrt(-p / 3.0)
+            phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * rad))))
+            roots = [rad * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
+        else:
+            rad = math.sqrt(max(q * q / 4.0 + p ** 3 / 27.0, 0.0))
+            t = math.copysign(abs(-q / 2.0 + rad) ** (1.0 / 3.0), -q / 2.0 + rad)
+            u = math.copysign(abs(-q / 2.0 - rad) ** (1.0 / 3.0), -q / 2.0 - rad)
+            roots = [t + u - shift]
+    unique: list[float] = []
+    for x in roots:
+        der = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        if der != 0.0:
+            x -= (((c3 * x + c2) * x + c1) * x + c0) / der
+        if all(abs(x - y) > 1e-9 * (1.0 + abs(x)) for y in unique):
+            unique.append(x)
+    return unique
 
 
 def read_solutions(path) -> tuple[str, list[dict]]:

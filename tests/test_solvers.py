@@ -37,7 +37,7 @@ from siftpose.robust import make_problem
 from siftpose.synthetic import SyntheticConfig, add_noise, generate_scene
 
 from conftest import spanning_indices
-from support import essential_residual
+from support import essential_residual, scalar_cubic_roots
 
 
 def matrix_gap(model, truth):
@@ -51,31 +51,52 @@ def best_gap(models, truth):
 
 
 class TestCubicRoots:
+    @staticmethod
+    def _roots(*coeffs):
+        """The kept real roots of one cubic, through the batched solver."""
+        roots, found = real_cubic_roots(np.array([coeffs]))
+        return list(roots[0, found[0]])
+
     def test_known_roots(self):
         # (x - 1)(x - 2)(x + 3) = x^3 - 7x + 6
-        roots = sorted(real_cubic_roots(1.0, 0.0, -7.0, 6.0))
+        roots = sorted(self._roots(1.0, 0.0, -7.0, 6.0))
         assert np.allclose(roots, [-3.0, 1.0, 2.0])
 
     def test_single_real_root(self):
         # (x - 2)(x^2 + 1)
-        roots = real_cubic_roots(1.0, -2.0, 1.0, -2.0)
+        roots = self._roots(1.0, -2.0, 1.0, -2.0)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(2.0)
 
     def test_quadratic_fallback(self):
-        roots = sorted(real_cubic_roots(0.0, 1.0, -3.0, 2.0))
+        roots = sorted(self._roots(0.0, 1.0, -3.0, 2.0))
         assert np.allclose(roots, [1.0, 2.0])
 
     def test_random_polynomials_against_numpy(self):
         rng = np.random.default_rng(0)
-        for _ in range(300):
-            coeffs = rng.standard_normal(4)
-            mine = sorted(real_cubic_roots(*coeffs))
-            reference = sorted(r.real for r in np.roots(coeffs)
+        coeffs = rng.standard_normal((300, 4))
+        roots, found = real_cubic_roots(coeffs)
+        for row, kept, mask in zip(coeffs, roots, found):
+            mine = sorted(kept[mask])
+            reference = sorted(r.real for r in np.roots(row)
                                if abs(r.imag) < 1e-9 * max(1.0, abs(r.real)))
             assert len(mine) == len(reference)
             for a, b in zip(mine, reference):
                 assert a == pytest.approx(b, abs=1e-7)
+
+    def test_rows_match_the_scalar_reference(self):
+        # one batch mixing every branch: full cubics, a vanishing cubic
+        # term, a vanishing quadratic term too, and all-zero rows
+        rng = np.random.default_rng(27)
+        coeffs = rng.standard_normal((3000, 4))
+        coeffs[2000:2500, 0] = 0.0
+        coeffs[2500:2990, :2] = 0.0
+        coeffs[2990:] = 0.0
+        roots, found = real_cubic_roots(coeffs)
+        for row, kept, mask in zip(coeffs, roots, found):
+            reference = scalar_cubic_roots(*row)
+            assert len(kept[mask]) == len(reference)
+            np.testing.assert_allclose(kept[mask], reference, rtol=1e-12, atol=1e-12)
 
 
 class TestFundamentalSolvers:
@@ -380,40 +401,59 @@ class TestPolisher:
             numeric = (monomials(states + delta) - monomials(states - delta)) / (2 * step)
             np.testing.assert_allclose(gradient(states)[:, :, k], numeric, rtol=1e-8, atol=1e-8)
 
-    @staticmethod
-    def _system():
-        # x - 0.5, y + 0.25 and x^2 - 0.25 over the bivariate basis, root (0.5, -0.25)
-        system = np.zeros((3, 10))
-        system[0, [7, 9]] = 1.0, -0.5
-        system[1, [8, 9]] = 1.0, 0.25
-        system[2, [4, 9]] = 1.0, -0.25
-        return system
+    # positions of x, y, x^2, the third variable (z or w) and the constant 1
+    # in each basis; the bivariate one has no third variable
+    LAYOUTS = {
+        "bivariate": (_poly.BIVARIATE_BASIS, (7, 8, 4, None, 9)),
+        "trivariate": (_poly.TRIVARIATE_BASIS, (16, 17, 10, 18, 19)),
+        "semicalibrated": (_poly.SEMICALIBRATED_BASIS, (7, 8, 4, 19, 9)),
+    }
 
-    def test_converged_start_is_left_alone(self):
-        system = self._system()
+    @classmethod
+    def _system(cls, layout):
+        # x - 0.5, y + 0.25, x^2 - 0.25 and, with three variables, the third
+        # minus 0.125: root (0.5, -0.25[, 0.125])
+        basis, (x, y, x2, third, one) = cls.LAYOUTS[layout]
+        nvars = 2 if third is None else 3
+        system = np.zeros((nvars + 1, basis[0](np.zeros((1, nvars))).shape[1]))
+        system[0, [x, one]] = 1.0, -0.5
+        system[1, [y, one]] = 1.0, 0.25
+        system[2, [x2, one]] = 1.0, -0.25
+        if third is not None:
+            system[3, [third, one]] = 1.0, -0.125
+        return basis, system, np.array([0.5, -0.25, 0.125])[:nvars]
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_converged_start_is_left_alone(self, layout):
+        basis, system, root = self._system(layout)
         # the first start is converged (squared residual below 1e-28) yet
         # not exact, so one more step would still move it
-        starts = np.array([[0.5 + 4e-15, -0.25], [0.9, 0.3], [0.5, -0.25]])
-        systems = np.broadcast_to(system, (3, 3, 10))
-        residual = system @ _poly.bivariate_monomials_batch(starts[:1])[0]
+        starts = np.stack([root + np.eye(len(root))[0] * 4e-15,
+                           np.array([0.9, 0.3, 0.4])[:len(root)], root])
+        systems = np.broadcast_to(system, (3,) + system.shape)
+        residual = system @ basis[0](starts[:1])[0]
         assert 0.0 < residual @ residual <= 1e-28
-        states, norms = _polish_batch(systems, starts, _poly.BIVARIATE_BASIS, 4)
+        states, norms = _polish_batch(systems, starts, basis, 4)
         assert np.array_equal(states[0], starts[0])
         assert norms[0] == pytest.approx(math.sqrt(residual @ residual), rel=1e-12)
         assert np.array_equal(states[2], starts[2]) and norms[2] == 0.0
         assert not np.array_equal(states[1], starts[1])
-        np.testing.assert_allclose(states[1], [0.5, -0.25], atol=1e-9)
+        np.testing.assert_allclose(states[1], root, atol=1e-9)
 
-    def test_singular_start_stops_alone(self):
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_singular_start_stops_alone(self, layout):
         # 1e10 (x + y) + 1: equal, large gradient columns make the damped
         # normal equations exactly singular
-        singular = np.zeros((3, 10))
-        singular[0, [7, 8, 9]] = 1e10, 1e10, 1.0
-        systems = np.stack([singular, self._system()])
-        starts = np.array([[0.3, 0.2], [0.9, 0.3]])
-        states, _ = _polish_batch(systems, starts, _poly.BIVARIATE_BASIS, 4)
+        basis, system, root = self._system(layout)
+        _, (x, y, _, _, one) = self.LAYOUTS[layout]
+        singular = np.zeros_like(system)
+        singular[0, [x, y, one]] = 1e10, 1e10, 1.0
+        systems = np.stack([singular, system])
+        starts = np.stack([np.array([0.3, 0.2, 0.1])[:len(root)],
+                           np.array([0.9, 0.3, 0.4])[:len(root)]])
+        states, _ = _polish_batch(systems, starts, basis, 4)
         assert np.array_equal(states[0], starts[0])
-        np.testing.assert_allclose(states[1], [0.5, -0.25], atol=1e-9)
+        np.testing.assert_allclose(states[1], root, atol=1e-9)
 
 
 class TestFocalSolvers:
@@ -477,6 +517,36 @@ class TestFocalSolvers:
         for (mat_a, focal_a, res_a), (mat_b, focal_b, res_b) in zip(first, second):
             assert np.array_equal(mat_a, mat_b)
             assert focal_a == focal_b and res_a == res_b
+
+
+class TestDistinctModels:
+    """No solver returns one model twice for a sample."""
+
+    @staticmethod
+    def _coincide(a, b):
+        # unit F/E up to sign within 1e-6, and the focal within 1e-4 relative
+        if matrix_gap(getattr(a, "fundamental", a), getattr(b, "fundamental", b)) >= 1e-6:
+            return False
+        return not hasattr(a, "focal") or abs(a.focal - b.focal) < 1e-4 * max(a.focal, b.focal)
+
+    @pytest.mark.parametrize("solver_id", ["f7pt", "f4sift", "e5pt", "ff3sift", "ff6pt"])
+    def test_no_two_models_coincide(self, scenes, solver_id):
+        info = solver_info(solver_id)
+        checked = 0
+        for draw in range(400):
+            scene = scenes[draw % len(scenes)]
+            idx = spanning_indices(scene, info.sample_size, np.random.default_rng(draw))
+            kwargs = {"e": {"k1": scene.k1, "k2": scene.k2},
+                      "ff": {"principal_point": scene.principal_point}}.get(info.family, {})
+            try:
+                models = run_minimal_solver(solver_id, scene.correspondences[idx], **kwargs).models
+            except SolverError:
+                continue
+            checked += 1
+            for i in range(len(models)):
+                for j in range(i):
+                    assert not self._coincide(models[i], models[j]), (draw, i, j)
+        assert checked >= 390
 
 
 class TestDispatch:
