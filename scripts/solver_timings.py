@@ -24,7 +24,8 @@ solver, each interleaved the same way:
 Prints, per solver and timing: the median and mean time of each copy in ms
 (per sample for blocks: the block time over 16), the ratio of the medians
 (b/a), the range of the per-round median ratios, and the number of refused
-calls of each copy (blocks: none counted).
+samples of each copy: refused calls, or block entries that the core
+returns as an exception.
 """
 import argparse
 import importlib
@@ -70,16 +71,17 @@ def time_call(solvers, call, sample) -> tuple[float, bool]:
     return time.perf_counter() - start, refused
 
 
-def time_block(core, rows) -> tuple[float, bool]:
+def time_block(core, rows) -> tuple[float, int]:
     start = time.perf_counter()
-    core(rows)
-    return (time.perf_counter() - start) / BLOCK, False
+    out = core(rows)
+    elapsed = time.perf_counter() - start
+    return elapsed / BLOCK, sum(isinstance(entry, Exception) for entry in out)
 
 
 def interleaved(rounds: int, items: list, runs) -> tuple[list, list, list]:
     """Times of both copies and per-round median ratios (b/a).
 
-    runs[side](item) returns (seconds, refused); every round runs each item
+    runs[side](item) returns (seconds, refused count); every round runs each item
     on both copies, alternating from item to item which copy goes first.
     """
     times = [[], []]

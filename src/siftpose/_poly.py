@@ -72,23 +72,23 @@ TRIVARIATE = MonomialAlgebra(
 )
 
 
-# Batched evaluators: each basis is a (monomials, gradient) pair that takes
-# states (m, nvars) and returns the basis values (m, k) and their partial
-# derivatives (m, k, nvars), rows ordered as the basis.
+# Batched evaluators: each basis is a (monomials, gradient) pair. monomials
+# takes states (m, nvars) and returns the basis values (m, k); gradient
+# takes the states and those values and returns their partial derivatives
+# (m, k, nvars), rows ordered as the basis.
+
+# the bivariate basis [x3 y3 x2y xy2 x2 y2 xy x y 1] as (t_a t_b) t_c over
+# t = (x, y, 1); xy2 is (y y) x, the same rounded product as x (y y)
+_BIVARIATE_FACTORS = np.array([[0, 1, 0, 1, 0, 1, 0, 0, 1, 2],
+                               [0, 1, 0, 1, 0, 1, 1, 2, 2, 2],
+                               [0, 1, 1, 0, 2, 2, 2, 2, 2, 2]])
+
 
 def bivariate_monomials_batch(states: np.ndarray) -> np.ndarray:
     """The bivariate degree-3 basis [x3 y3 x2y xy2 x2 y2 xy x y 1]."""
-    x, y = states[:, 0], states[:, 1]
-    squares = states * states
-    out = np.empty((states.shape[0], 10))
-    out[:, 0:2] = squares * states
-    out[:, 2] = squares[:, 0] * y
-    out[:, 3] = x * squares[:, 1]
-    out[:, 4:6] = squares
-    out[:, 6] = x * y
-    out[:, 7:9] = states
-    out[:, 9] = 1.0
-    return out
+    t = np.take(np.concatenate([states, np.ones((states.shape[0], 1))], axis=1),
+                _BIVARIATE_FACTORS, axis=1)
+    return t[:, 0] * t[:, 1] * t[:, 2]
 
 
 # TRIVARIATE.exps3 as flat indices into [s_i s_j s_k (27), s_i s_j (9), s_i (3), 1],
@@ -119,9 +119,9 @@ def semicalibrated_monomials_batch(states: np.ndarray) -> np.ndarray:
     return np.concatenate([mono, w * mono, (w * w) * mono], axis=1)
 
 
-def semicalibrated_gradient_batch(states: np.ndarray) -> np.ndarray:
+def semicalibrated_gradient_batch(states: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Partial derivatives (m, 30, 3) of the semicalibrated basis in (x, y, w)."""
-    mono = bivariate_monomials_batch(states[:, :2])
+    mono = values[:, :10]
     grad = BIVARIATE.gradient(mono)
     w = states[:, 2:]
     out = np.zeros((states.shape[0], 30, 3))
@@ -133,10 +133,9 @@ def semicalibrated_gradient_batch(states: np.ndarray) -> np.ndarray:
     return out
 
 
-BIVARIATE_BASIS = (bivariate_monomials_batch,
-                   lambda states: BIVARIATE.gradient(bivariate_monomials_batch(states)))
+BIVARIATE_BASIS = (bivariate_monomials_batch, lambda states, values: BIVARIATE.gradient(values))
 TRIVARIATE_BASIS = (trivariate_monomials_batch,
-                    lambda states: TRIVARIATE.gradient(trivariate_monomials_batch(states)))
+                    lambda states, values: TRIVARIATE.gradient(values))
 SEMICALIBRATED_BASIS = (semicalibrated_monomials_batch, semicalibrated_gradient_batch)
 
 

@@ -14,6 +14,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import bench
 from .errors import ParseError, SolverError
 from .fileio import (
@@ -250,7 +252,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_EXIT
-    except SolverError as exc:
+    except (SolverError, np.linalg.LinAlgError) as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return DEGENERATE_EXIT
 

@@ -130,8 +130,10 @@ def real_cubic_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
     - discriminant -4p^3 - 27q^2 >= 0 and p < 0: three trigonometric roots;
     - otherwise Cardano's one real root.
 
-    Each root takes one Newton step where the derivative is nonzero; then a
-    root within 1e-9 (1 + |x|) of an earlier root of its row is dropped
+    Each root takes one Newton step where the derivative is nonzero and the
+    step shrinks |value| (near a multiple root both are at roundoff level,
+    and their quotient can throw the root far off); then a root within
+    1e-9 (1 + |x|) of an earlier root of its row is dropped
     (_first_of_clusters). Returns the roots (n, 3) and the mask (n, 3) of
     the kept ones; the other slots hold 0.
     """
@@ -185,7 +187,9 @@ def real_cubic_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
         c3, c2, c1, c0 = np.repeat(coeffs.T[:, :, None], 3, axis=2)
         val = ((c3 * roots + c2) * roots + c1) * roots + c0
         der = (3.0 * c3 * roots + 2.0 * c2) * roots + c1
-        np.subtract(roots, val / der, out=roots, where=found & (der != 0.0))
+        step = roots - val / der
+        shrinks = np.abs(((c3 * step + c2) * step + c1) * step + c0) < np.abs(val)
+        np.copyto(roots, step, where=found & (der != 0.0) & shrinks)
     roots[~found] = 0.0
     if np.count_nonzero(found[:, 1]):
         found = _first_of_clusters(roots[:, :, None], found, 1e-9)
@@ -240,6 +244,14 @@ def _residuals(systems: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.
     return r, (np.swapaxes(r, 1, 2) @ r)[:, 0, 0]
 
 
+@functools.cache
+def _damping(k: int) -> np.ndarray:
+    """The read-only (k, k) damping 1e-300 I of the Gauss-Newton normal equations."""
+    damping = 1e-300 * np.eye(k)
+    damping.flags.writeable = False
+    return damping
+
+
 def _polish_batch(systems: np.ndarray, states: np.ndarray, basis, iterations: int):
     """Lockstep damped Gauss-Newton over many (system, start) pairs.
 
@@ -256,40 +268,46 @@ def _polish_batch(systems: np.ndarray, states: np.ndarray, basis, iterations: in
     """
     monomials, gradient = basis
     states = states.copy()
-    damping = 1e-300 * np.eye(states.shape[1])
+    damping = _damping(states.shape[1])
     live = np.ones(states.shape[0], dtype=bool)
     # a non-finite product only stops its start: the determinant and step
     # tests below catch it, and a non-finite residual is never accepted
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r, size = _residuals(systems, monomials(states))
+        values = monomials(states)
+        r, size = _residuals(systems, values)
         for _ in range(iterations):
             live &= size > 1e-28
             if not live.any():
                 break
-            jac = systems @ gradient(states)
+            jac = systems @ gradient(states, values)
             jac_t = np.swapaxes(jac, 1, 2)
             jtj = jac_t @ jac + damping
             adj = _batched_adjugate(jtj)
             # rounded products summed without fused multiply-adds, so an
             # exactly singular system gives an exactly zero determinant
             det = (adj[:, 0] * jtj[:, :, 0]).sum(axis=1)
-            steps = (adj @ (jac_t @ -r))[..., 0] / det[:, None]
-            live &= (det != 0.0) & np.isfinite(det) & np.isfinite(steps).all(axis=1)
-            steps[~live] = 0.0
+            # minus the Gauss-Newton step: negating r negates it exactly
+            down = (adj @ (jac_t @ r))[..., 0] / det[:, None]
+            live &= (det != 0.0) & np.isfinite(det) & np.isfinite(down).all(axis=1)
             # every start still searching has had the same number of halvings
             remaining = live.copy()
-            scale = 1.0
-            for _ in range(6):
-                trial = states + scale * steps
-                r_t, size_t = _residuals(systems, monomials(trial))
+            trial = states - down
+            for halving in range(6):
+                if halving:
+                    trial = states - 0.5 ** halving * down
+                values_t = monomials(trial)
+                r_t, size_t = _residuals(systems, values_t)
                 accept = remaining & ((size_t <= size) | (size_t < 1e-28))
+                remaining &= ~accept
+                if accept.all():
+                    states, values, r, size = trial, values_t, r_t, size_t
+                    break
                 np.copyto(states, trial, where=accept[:, None])
+                np.copyto(values, values_t, where=accept[:, None])
                 np.copyto(r, r_t, where=accept[:, None, None])
                 np.copyto(size, size_t, where=accept)
-                remaining &= ~accept
                 if not remaining.any():
                     break
-                scale *= 0.5
             live &= ~remaining
     return states, np.sqrt(size)
 
@@ -298,6 +316,9 @@ def _polish_batch(systems: np.ndarray, states: np.ndarray, basis, iterations: in
 # Batched kernels for the sampling loop
 # ---------------------------------------------------------------------------
 
+# the 2x2 adjugate [[d, -b], [-c, a]] of [[a, b], [c, d]]: flat picks and signs
+_ADJUGATE_2X2 = np.array([3, 1, 2, 0])
+_SIGNS_2X2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # flat (row-major) indices into a 3x3 matrix of the four factors whose
 # products form the adjugate: entry [i, k] reads m[k + 1, i + 1] m[k + 2, i + 2]
 # - m[k + 2, i + 1] m[k + 1, i + 2] (indices mod 3), so row i of the adjugate
@@ -310,12 +331,8 @@ _ADJUGATE_FACTORS = np.array([
 def _batched_adjugate(m: np.ndarray) -> np.ndarray:
     """Adjugate of each 2x2 or 3x3 matrix of a stack: adj(m) m = det(m) I."""
     if m.shape[-1] == 2:
-        out = np.empty_like(m)
-        out[..., 0, 0] = m[..., 1, 1]
-        out[..., 0, 1] = -m[..., 0, 1]
-        out[..., 1, 0] = -m[..., 1, 0]
-        out[..., 1, 1] = m[..., 0, 0]
-        return out
+        return np.take(m.reshape(m.shape[:-2] + (4,)), _ADJUGATE_2X2,
+                       axis=-1).reshape(m.shape) * _SIGNS_2X2
     f = m.reshape(m.shape[:-2] + (9,))[..., _ADJUGATE_FACTORS]
     return f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
 
@@ -497,75 +514,128 @@ def solve_f_8pt(pairs) -> FundamentalMatrix:
 # Essential matrix solvers
 # ---------------------------------------------------------------------------
 
-_ALPHA_PICKS = ((7, None), (0, "cbrt"), (6, 8), (4, 7))
-_BETA_PICKS = ((8, None), (1, "cbrt"), (6, 7), (5, 8))
+# the four alpha and four beta candidates read from the monomial solution y:
+# y[num] / y[den] with y[9] = 1, the cube root taken of the second of each
+# (alpha: y7, cbrt y0, y6/y8, y4/y7; beta: y8, cbrt y1, y6/y7, y5/y8)
+_PICK_NUMERATORS = np.array([7, 0, 6, 4, 8, 1, 6, 5])
+_PICK_DENOMINATORS = np.array([9, 9, 8, 7, 9, 9, 7, 8])
+_PICK_CUBE_ROOTS = [1, 5]
+
+# one factory per refusal code of _e3sift_front, in the order it tests them
+_E3SIFT_REFUSALS = (
+    None,
+    functools.partial(np.linalg.LinAlgError, "SVD did not converge"),
+    functools.partial(DegenerateSampleError,
+                      "constraint system rank below 6; sample does not determine the model"),
+    functools.partial(IllConditionedSampleError, "monomial system numerically rank-deficient"),
+    functools.partial(IllConditionedSampleError,
+                      "no finite candidate for the null-space coefficients"),
+)
 
 
-def _monomial_candidates(y: np.ndarray, picks) -> list[float]:
-    values = []
-    for idx, rule in picks:
-        if rule is None:
-            values.append(y[idx])
-        elif rule == "cbrt":
-            values.append(np.cbrt(y[idx]))
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                values.append(y[idx] / y[rule])
-    return [float(v) for v in values if np.isfinite(v)]
+def _monomial_solve(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares monomial vectors y (batch, 9) of bivariate systems (batch, 10, 10).
 
-
-def _e3sift_start(rows: np.ndarray):
-    """Front of the e3sift core on one 6x9 sample; raises when it refuses the sample.
-
-    Returns the null-space pencil (3, 3, 3), the constraint system (10, 10),
-    the monomial solution y and the Gauss-Newton start (alpha, beta).
+    Each system's first nine columns multiply y and its last column is the
+    constant term. Solved through one batched SVD; the mask (batch,) is False
+    where the singular values fall below 1e-12 of the largest (or all
+    vanish), and y is then meaningless. Above that cutoff no singular value
+    is dropped, so y is the full-rank least-squares solution.
     """
-    pencil = nullspace(rows, 3).reshape(3, 3, 3)
-    system = _poly.essential_constraint_system(pencil, _poly.BIVARIATE)
-    y, _, _, sv = np.linalg.lstsq(system[:, :9], -system[:, 9], rcond=None)
-    if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
-        raise IllConditionedSampleError("monomial system numerically rank-deficient")
+    u, sv, vt = np.linalg.svd(systems[:, :, :9], full_matrices=False)
+    conditioned = ~((sv[:, 0] == 0.0) | (sv[:, -1] < 1e-12 * sv[:, 0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeffs = (np.swapaxes(u, 1, 2) @ -systems[:, :, 9:])[..., 0] / sv
+    return (np.swapaxes(vt, 1, 2) @ coeffs[:, :, None])[..., 0], conditioned
 
-    alphas = _monomial_candidates(y, _ALPHA_PICKS)
-    betas = _monomial_candidates(y, _BETA_PICKS)
-    if not alphas or not betas:
-        raise IllConditionedSampleError("no finite candidate for the null-space coefficients")
-    grid = np.array([(alpha, beta) for alpha in alphas for beta in betas])
-    r = _poly.bivariate_monomials_batch(grid) @ system[:9].T
-    # basis vectors are orthonormal, so the combination's norm is direct
-    res = np.einsum("gi,gi->g", r, r) / (np.einsum("gi,gi->g", grid, grid) + 1.0) ** 3
-    return pencil, system, y, grid[np.argmin(np.where(np.isnan(res), np.inf, res))]
+
+def _e3sift_front(rows: np.ndarray):
+    """Null space, constraint system and Gauss-Newton start of e3sift samples (batch, 6, 9).
+
+    Returns the null-space pencils (batch, 3, 3, 3), the constraint systems
+    (batch, 10, 10), the starts (alpha, beta) (batch, 2) and a refusal code
+    per sample (batch,): 0 where the sample is solved, else the index into
+    _E3SIFT_REFUSALS of the first refusal that applies (see
+    essential_3sift_batch). A refused sample's start is 0.
+    """
+    rows = np.asarray(rows, dtype=float)
+    batch = rows.shape[0]
+    finite = np.isfinite(rows).all(axis=(1, 2))
+    if not finite.all():
+        rows = np.where(finite[:, None, None], rows, 0.0)
+    _, s, vt = np.linalg.svd(rows)
+    pencil = vt[:, 6:].reshape(batch, 3, 3, 3)
+    system = _poly.essential_constraint_system(pencil, _poly.BIVARIATE)
+    y, conditioned = _monomial_solve(system)
+
+    # refused samples and candidates far out may divide by zero or overflow;
+    # their picks are masked out below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        picks = np.concatenate([y, np.ones((batch, 1))], axis=1)
+        picks = picks[:, _PICK_NUMERATORS] / picks[:, _PICK_DENOMINATORS]
+        picks[:, _PICK_CUBE_ROOTS] = np.cbrt(picks[:, _PICK_CUBE_ROOTS])
+        usable = np.isfinite(picks)
+        picks[~usable] = 0.0
+        # the 4x4 grid, alpha-major: entry 4 i + j pairs alpha i with beta j
+        grid = np.empty((batch, 4, 4, 2))
+        grid[..., 0] = picks[:, :4, None]
+        grid[..., 1] = picks[:, None, 4:]
+        grid = grid.reshape(batch, 16, 2)
+        valid = (usable[:, :4, None] & usable[:, None, 4:]).reshape(batch, 16)
+        mono = _poly.bivariate_monomials_batch(grid.reshape(-1, 2)).reshape(batch, 16, 10)
+        r = mono @ np.swapaxes(system[:, :9], 1, 2)
+        # basis vectors are orthonormal, so the combination's norm is direct
+        res = (np.einsum("bgi,bgi->bg", r, r)
+               / (np.einsum("bgi,bgi->bg", grid, grid) + 1.0) ** 3)
+    res[~valid | np.isnan(res)] = np.inf
+    best = res.argmin(axis=1)
+    # every valid entry at inf (or none valid): the first valid entry
+    best = np.where(np.isinf(res[np.arange(batch), best]), valid.argmax(axis=1), best)
+    starts = grid[np.arange(batch), best]
+
+    code = np.zeros(batch, dtype=np.intp)
+    code[~valid.any(axis=1)] = 4
+    code[~conditioned] = 3
+    code[(s[:, 0] == 0.0) | (s[:, 5] < DEGENERACY_RTOL * s[:, 0])] = 2
+    code[~finite] = 1
+    starts[code != 0] = 0.0
+    return pencil, system, starts, code
 
 
 def essential_3sift_batch(rows: np.ndarray) -> list:
     """Core of the three-correspondence essential solver over samples (batch, 6, 9).
 
     Each sample's rows are the stacked constraints in calibrated
-    coordinates. Its three-dimensional null-space combination is substituted
-    into the trace and determinant constraints, giving ten equations solved
-    in least squares over the monomial vector; the best pair of null-space
-    coefficients read from the monomial entries starts a damped Gauss-Newton,
-    which runs for every solvable sample of the batch in lockstep. Returns
-    one entry per sample: [raw 3x3 matrix], or the exception that refused
-    the sample.
+    coordinates. Its three-dimensional null-space pencil (n1, n2, n3) is
+    substituted into the trace and determinant constraints, giving ten
+    equations solved in least squares over the monomial vector
+    y = [a3 b3 a2b ab2 a2 b2 ab a b]. Everything runs as array operations
+    over the samples. A sample is refused by the first rule that applies:
+
+    1. a row entry is not finite: LinAlgError("SVD did not converge");
+    2. its rows have rank below 6 (the sixth singular value below
+       DEGENERACY_RTOL of the first, or all zero): DegenerateSampleError;
+    3. the monomial system's smallest singular value is below 1e-12 of its
+       largest, or all vanish: IllConditionedSampleError;
+    4. no alpha or no beta candidate is finite: IllConditionedSampleError.
+
+    The candidates are alpha in (y7, cbrt y0, y6/y8, y4/y7) and beta in
+    (y8, cbrt y1, y6/y7, y5/y8), the non-finite ones dropped. Over their
+    grid, alpha-major, the start is the first entry with the smallest
+    constraint residual of the unit-norm combination (a NaN residual counts
+    as inf); where every entry's residual is inf, the first entry. The
+    starts of all solved samples run one damped Gauss-Newton in lockstep.
+    Returns one entry per sample: [raw 3x3 matrix alpha n1 + beta n2 + n3],
+    or the exception that refused the sample.
     """
-    out: list = []
-    starts = []
-    for sample in np.asarray(rows, dtype=float):
-        try:
-            starts.append(_e3sift_start(sample))
-            out.append(None)
-        except (SolverError, np.linalg.LinAlgError) as exc:
-            out.append(exc)
-    if starts:
-        pencils, systems, _, states = zip(*starts)
-        states, _ = _polish_batch(np.array(systems), np.array(states), _poly.BIVARIATE_BASIS, 4)
-        solved = iter(zip(pencils, states))
-        for i, entry in enumerate(out):
-            if entry is None:
-                (n1, n2, n3), (alpha, beta) = next(solved)
-                out[i] = [alpha * n1 + beta * n2 + n3]
-    return out
+    pencil, system, states, code = _e3sift_front(rows)
+    solved = code == 0
+    if solved.any():
+        states[solved], _ = _polish_batch(system[solved], states[solved],
+                                          _poly.BIVARIATE_BASIS, 4)
+    weights = np.concatenate([states, np.ones((states.shape[0], 1))], axis=1)
+    models = np.einsum("bk,bkij->bij", weights, pencil)
+    return [[m] if c == 0 else _E3SIFT_REFUSALS[c]() for m, c in zip(models, code.tolist())]
 
 
 def _five_point_core(rows: np.ndarray) -> list:

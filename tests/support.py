@@ -1,12 +1,14 @@
-"""Test support: the affinity -> orientation/scale oracle, a scalar cubic and CLI output readers."""
+"""Test support: the affinity -> orientation/scale oracle, scalar references and CLI output readers."""
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from siftpose import _poly
 from siftpose.constraints import circle_compatible_angles
-from siftpose.errors import DegenerateSampleError, ParseError
+from siftpose.errors import DegenerateSampleError, IllConditionedSampleError, ParseError
 from siftpose.fileio import BENCHMARK_COLUMNS, BenchmarkRow
+from siftpose.solvers import nullspace
 
 TWO_PI = 2.0 * math.pi
 
@@ -209,7 +211,7 @@ def scalar_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float
     """One cubic's real roots, branch by branch in Python floats.
 
     The reference for the batched solvers.real_cubic_roots: the same closed
-    form, Newton step and 1e-9 de-duplication, one root at a time.
+    form, guarded Newton step and 1e-9 de-duplication, one root at a time.
     """
     coeffs = np.array([c3, c2, c1, c0], dtype=float)
     top = np.max(np.abs(coeffs))
@@ -246,12 +248,62 @@ def scalar_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float
             roots = [t + u - shift]
     unique: list[float] = []
     for x in roots:
+        val = ((c3 * x + c2) * x + c1) * x + c0
         der = (3.0 * c3 * x + 2.0 * c2) * x + c1
         if der != 0.0:
-            x -= (((c3 * x + c2) * x + c1) * x + c0) / der
+            step = x - val / der
+            if abs(((c3 * step + c2) * step + c1) * step + c0) < abs(val):
+                x = step
         if all(abs(x - y) > 1e-9 * (1.0 + abs(x)) for y in unique):
             unique.append(x)
     return unique
+
+
+_ALPHA_PICKS = ((7, None), (0, "cbrt"), (6, 8), (4, 7))
+_BETA_PICKS = ((8, None), (1, "cbrt"), (6, 7), (5, 8))
+
+
+def _monomial_candidates(y: np.ndarray, picks) -> list[float]:
+    values = []
+    for idx, rule in picks:
+        if rule is None:
+            values.append(y[idx])
+        elif rule == "cbrt":
+            values.append(np.cbrt(y[idx]))
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values.append(y[idx] / y[rule])
+    return [float(v) for v in values if np.isfinite(v)]
+
+
+def scalar_e3sift_start(rows: np.ndarray):
+    """Front of the e3sift core on one 6x9 sample; raises when it refuses the sample.
+
+    The reference for the batched solvers._e3sift_front: null space,
+    np.linalg.lstsq and the alpha-major candidate grid, one sample at a
+    time. Returns the null-space pencil (3, 3, 3), the constraint system
+    (10, 10), the monomial solution y and the Gauss-Newton start (alpha, beta).
+    A non-finite entry is refused as np.linalg.svd refuses a NaN; the SVD
+    itself returns NaN for an infinite entry without raising.
+    """
+    if not np.isfinite(rows).all():
+        raise np.linalg.LinAlgError("SVD did not converge")
+    pencil = nullspace(rows, 3).reshape(3, 3, 3)
+    system = _poly.essential_constraint_system(pencil, _poly.BIVARIATE)
+    y, _, _, sv = np.linalg.lstsq(system[:, :9], -system[:, 9], rcond=None)
+    if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
+        raise IllConditionedSampleError("monomial system numerically rank-deficient")
+
+    alphas = _monomial_candidates(y, _ALPHA_PICKS)
+    betas = _monomial_candidates(y, _BETA_PICKS)
+    if not alphas or not betas:
+        raise IllConditionedSampleError("no finite candidate for the null-space coefficients")
+    grid = np.array([(alpha, beta) for alpha in alphas for beta in betas])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _poly.bivariate_monomials_batch(grid) @ system[:9].T
+        # basis vectors are orthonormal, so the combination's norm is direct
+        res = np.einsum("gi,gi->g", r, r) / (np.einsum("gi,gi->g", grid, grid) + 1.0) ** 3
+    return pencil, system, y, grid[np.argmin(np.where(np.isnan(res), np.inf, res))]
 
 
 def read_solutions(path) -> tuple[str, list[dict]]:

@@ -444,6 +444,17 @@ class TestInputErrors:
         assert "coordinates too large for a solver frame" in result.stderr
         assert "Warning" not in result.stderr
 
+    def test_overflowing_rows_are_refused(self, tmp_path):
+        # u1 = u2 = 1e300 overflows the record's epipolar row to inf; the
+        # e3sift core refuses the non-finite rows instead of solving on them
+        data = _with_huge_coordinate(tmp_path, "e3sift_clean.csv", columns=(0, 4))
+        result = subprocess.run([sys.executable, "-m", "siftpose.cli", "solve",
+                                 "--problem", "e3sift", "--input", str(data)],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 4
+        assert "estimation failed: SVD did not converge" in result.stderr
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("problem", ["e3sift", "e5pt"])
     def test_overflowing_distances_exclude_the_record(self, tmp_path, problem):
         # the calibrated frame has no spread to overflow; the record's squared
@@ -459,12 +470,15 @@ class TestInputErrors:
         assert read_benchmark_rows(out)[0].status == "ok"
 
 
-def _with_huge_coordinate(tmp_path, fixture):
-    """A copy of a fixture whose first record has u1 = 1e300."""
+def _with_huge_coordinate(tmp_path, fixture, columns=(0,)):
+    """A copy of a fixture whose first record holds 1e300 in the given columns (u1)."""
     with open(os.path.join(FIXTURES, fixture)) as handle:
         lines = handle.read().splitlines()
     first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    lines[first] = "1e300" + lines[first][lines[first].index(","):]
+    fields = lines[first].split(",")
+    for column in columns:
+        fields[column] = "1e300"
+    lines[first] = ",".join(fields)
     data = tmp_path / "huge.csv"
     data.write_text("\n".join(lines) + "\n")
     return data

@@ -5,7 +5,7 @@ import pytest
 
 import siftpose.solvers as solvers_module
 from siftpose.constraints import epipolar_rows, sift_rows
-from siftpose.errors import DegenerateSampleError, SolverError
+from siftpose.errors import DegenerateSampleError, IllConditionedSampleError, SolverError
 from siftpose.geometry import (
     CameraIntrinsics,
     decompose_essential,
@@ -15,7 +15,9 @@ from siftpose.geometry import (
 )
 from siftpose import _poly
 from siftpose.solvers import (
-    _e3sift_start,
+    _E3SIFT_REFUSALS,
+    _e3sift_front,
+    _monomial_solve,
     _polish_batch,
     essential_3sift_batch,
     essential_candidates_batch,
@@ -37,7 +39,7 @@ from siftpose.robust import make_problem
 from siftpose.synthetic import SyntheticConfig, add_noise, generate_scene
 
 from conftest import spanning_indices
-from support import essential_residual, scalar_cubic_roots
+from support import essential_residual, scalar_cubic_roots, scalar_e3sift_start
 
 
 def matrix_gap(model, truth):
@@ -83,6 +85,21 @@ class TestCubicRoots:
             assert len(mine) == len(reference)
             for a, b in zip(mine, reference):
                 assert a == pytest.approx(b, abs=1e-7)
+
+    def test_triple_roots_with_rounded_coefficients(self):
+        # (x - r)^3 with coefficients rounded to doubles: value and derivative
+        # at the closed-form root are both roundoff, and an unguarded Newton
+        # step between them threw roots off by up to 2.4 r
+        rng = np.random.default_rng(29)
+        r = rng.uniform(0.01, 10.0, 3000) * rng.choice([-1.0, 1.0], 3000)
+        coeffs = np.stack([np.ones_like(r), -3.0 * r, 3.0 * r * r, -r ** 3], axis=1)
+        roots, found = real_cubic_roots(coeffs)
+        assert found.any(axis=1).all()
+        gap = np.where(found, np.abs(roots - r[:, None]), 0.0).max(axis=1) / np.abs(r)
+        # up to |r| = 2 the depressed cubic passes the triple-root test; beyond,
+        # the rounded cubic's own roots lie about eps^(1/3) |r| from r
+        assert gap[np.abs(r) <= 2.0].max() <= 1e-6
+        assert gap.max() <= 1e-4
 
     def test_rows_match_the_scalar_reference(self):
         # one batch mixing every branch: full cubics, a vanishing cubic
@@ -250,14 +267,53 @@ class TestEssentialSolvers:
 
     def test_e3sift_monomial_consistency(self, scenes):
         rng = np.random.default_rng(14)
+        rows = []
         for scene in scenes[:10]:
             idx = spanning_indices(scene, 3, rng)
             local = normalize_sift_correspondences(scene.correspondences[idx],
                                                    scene.k1, scene.k2)
-            _, _, y, _ = _e3sift_start(_interleaved(epipolar_rows(local[:, [0, 1, 4, 5]]),
-                                                    sift_rows(local)))
-            assert abs(y[7] ** 3 - y[0]) < 1e-6 * max(1.0, abs(y[0]))
-            assert abs(y[8] ** 3 - y[1]) < 1e-6 * max(1.0, abs(y[1]))
+            rows.append(_interleaved(epipolar_rows(local[:, [0, 1, 4, 5]]), sift_rows(local)))
+        _, system, _, code = _e3sift_front(np.stack(rows))
+        y, conditioned = _monomial_solve(system)
+        assert not code.any() and conditioned.all()
+        for sample in y:
+            assert abs(sample[7] ** 3 - sample[0]) < 1e-6 * max(1.0, abs(sample[0]))
+            assert abs(sample[8] ** 3 - sample[1]) < 1e-6 * max(1.0, abs(sample[1]))
+
+    def test_e3sift_front_matches_the_scalar_reference(self, scenes):
+        # one batch mixing clean and noisy samples with the refused kinds:
+        # a repeated correspondence, all-zero rows, a non-finite entry and a
+        # null space of coordinate matrices (an ill-conditioned monomial system)
+        rng = np.random.default_rng(28)
+        noisy = [add_noise(scene, 0.5, rng) for scene in scenes]
+        blocks = []
+        for i in range(320):
+            scene = (scenes if i % 2 else noisy)[i % len(scenes)]
+            corr = scene.correspondences[spanning_indices(scene, 3, rng)]
+            if i % 16 == 5:
+                corr = corr[[0, 0, 1]]
+            local = normalize_sift_correspondences(corr, scene.k1, scene.k2)
+            rows = _interleaved(epipolar_rows(local[:, [0, 1, 4, 5]]), sift_rows(local))
+            if i % 16 == 9:
+                rows[:] = 0.0
+            elif i % 16 == 11:
+                rows[i % 6, i % 9] = (np.nan, np.inf, -np.inf)[i % 3]
+            elif i % 16 == 13:
+                rows = np.eye(9)[np.roll(np.arange(9), i % 9)[3:]]
+            blocks.append(rows)
+        _, _, starts, code = _e3sift_front(np.stack(blocks))
+        kinds = set()
+        for i, rows in enumerate(blocks):
+            try:
+                ref_start = scalar_e3sift_start(rows)[3]
+            except (SolverError, np.linalg.LinAlgError) as exc:
+                refusal = _E3SIFT_REFUSALS[code[i]]() if code[i] else None
+                assert type(refusal) is type(exc) and str(refusal) == str(exc)
+                kinds.add(str(exc))
+                continue
+            assert code[i] == 0
+            assert np.abs(starts[i] - ref_start).max() <= 1e-9 * np.abs(ref_start).max()
+        assert len(kinds) == 3 and np.count_nonzero(code == 0) >= 200
 
     def test_e3sift_determinism(self, scene):
         rng = np.random.default_rng(15)
@@ -340,17 +396,24 @@ class TestSingleCore:
             rows[0::2] = epipolar_rows(local[:, [0, 1, 4, 5]])
             rows[1::2] = sift_rows(local)
             blocks.append(rows)
-        # refused samples in mid-block: all-zero rows and a repeated correspondence
+        # refused samples in mid-block: all-zero rows, a repeated
+        # correspondence, a NaN entry and an ill-conditioned monomial system
         blocks.insert(3, np.zeros((6, 9)))
         blocks.insert(7, np.tile(blocks[0][:2], (3, 1)))
+        blocks.insert(10, blocks[1].copy())
+        blocks[10][2, 4] = np.nan
+        blocks.insert(14, np.eye(9)[3:])
         rows = np.stack(blocks)
         batched = essential_3sift_batch(rows)
         refused = [i for i, result in enumerate(batched) if isinstance(result, Exception)]
-        assert refused == [3, 7]
+        assert refused == [3, 7, 10, 14]
+        assert [type(batched[i]) for i in refused] == [
+            DegenerateSampleError, DegenerateSampleError, np.linalg.LinAlgError,
+            IllConditionedSampleError]
         for i, result in enumerate(batched):
             alone = essential_3sift_batch(rows[i:i + 1])[0]
             if i in refused:
-                assert type(alone) is type(result) is DegenerateSampleError
+                assert type(alone) is type(result)
                 assert str(alone) == str(result)
                 continue
             assert len(alone) == len(result) == 1
@@ -399,7 +462,8 @@ class TestPolisher:
             delta = np.zeros(nvars)
             delta[k] = step
             numeric = (monomials(states + delta) - monomials(states - delta)) / (2 * step)
-            np.testing.assert_allclose(gradient(states)[:, :, k], numeric, rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(gradient(states, monomials(states))[:, :, k], numeric,
+                                       rtol=1e-8, atol=1e-8)
 
     # positions of x, y, x^2, the third variable (z or w) and the constant 1
     # in each basis; the bivariate one has no third variable
