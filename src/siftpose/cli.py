@@ -116,7 +116,11 @@ def cmd_solve(args) -> int:
     if info.family == "ff" and k1 is None and k2 is not None:
         raise UsageError("semi-calibrated estimation takes the principal point from K1; "
                          "the metadata has K2 but no K1")
-    output = run_minimal_solver(args.problem, corr, k1=k1, k2=k2, principal_point=pp)
+    # without --meta: solver-native coordinates (README)
+    identity = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
+    output = run_minimal_solver(args.problem, corr, k1=identity if k1 is None else k1,
+                                k2=identity if k2 is None else k2,
+                                principal_point=(0.0, 0.0) if pp is None else pp)
     if len(output.models) == 0:
         raise SolverError("no model produced")
 

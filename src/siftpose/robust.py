@@ -19,17 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import epipolar_rows, sift_rows
 from .errors import SolverError
 from .geometry import _as_matrix
-from .solvers import (
-    CalibratedFrame,
-    as_sift_array,
-    common_scale_frame,
-    semicalibrated_frame,
-    solve_f_8pt,
-    solver_info,
-)
+from .solvers import as_pair_array, as_sift_array, frame_rows, solve_f_8pt, solve_rows, solver_info
 
 
 LO_MAX_ROUNDS = 10
@@ -129,13 +121,12 @@ def degenerate_draws(pairs: np.ndarray, draws: np.ndarray, check_collinear: bool
     return bad
 
 
-def _epipolar_errors(p1h: np.ndarray, p2h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Symmetric epipolar errors: (n,) for one matrix (3, 3), (k, n) for a stack (k, 3, 3).
+def _epipolar_errors(p1h: np.ndarray, p2h: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Symmetric epipolar errors (k, n) of a stack of matrices (k, 3, 3).
 
     Non-finite errors (a vanishing or overflowing line normal, a non-finite
     model) map to inf.
     """
-    stack = m if m.ndim == 3 else m[None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lines2 = p1h @ stack.transpose(0, 2, 1)
         lines1 = p2h @ stack
@@ -143,8 +134,7 @@ def _epipolar_errors(p1h: np.ndarray, p2h: np.ndarray, m: np.ndarray) -> np.ndar
         n1 = np.sqrt(lines1[..., 0] ** 2 + lines1[..., 1] ** 2)
         n2 = np.sqrt(lines2[..., 0] ** 2 + lines2[..., 1] ** 2)
         err = 0.5 * residual * (1.0 / n1 + 1.0 / n2)
-    err = np.where(np.isfinite(err), err, np.inf)
-    return err if m.ndim == 3 else err[0]
+    return np.where(np.isfinite(err), err, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -154,41 +144,30 @@ def _epipolar_errors(p1h: np.ndarray, p2h: np.ndarray, m: np.ndarray) -> np.ndar
 class _EpipolarProblem:
     """Set-up, minimal solves, scoring and finalizing shared by the adapters.
 
-    A subclass names its solver `family` and `min_lo_inliers` and passes a
-    frame builder, which fixes the preconditioning from the pixel point
-    pairs. The frame carries the data in once, gives `threshold_factor`
-    (its scale: frame units per pixel of epipolar error) and maps the best
-    raw model back out at finalize. Scoring is the symmetric epipolar error
-    on the frame's `pairs`.
+    A subclass sets `min_lo_inliers` and its refit. The solver's registry
+    entry fixes the preconditioning: solvers.frame_rows carries the data
+    into its frame once and builds the constraint rows there. The frame
+    gives `threshold_factor` (its scale: frame units per pixel of epipolar
+    error) and maps the best raw model back out at finalize. Scoring is the
+    symmetric epipolar error on the frame's `pairs`.
     """
 
-    family: str
     min_lo_inliers: int
 
-    def __init__(self, corr, solver_id: str, make_frame):
+    def __init__(self, corr, solver_id: str, k1=None, k2=None, principal_point=None):
         info = solver_info(solver_id)
-        if info.family != self.family:
-            raise ValueError(f"{solver_id} is not a solver of the '{self.family}' family")
+        if not isinstance(self, _ADAPTERS[info.family]):
+            raise ValueError(f"{solver_id} is not a solver of {type(self).__name__}")
         corr = as_sift_array(corr)
-        bad = int(np.count_nonzero(~np.isfinite(corr).all(axis=1)))
-        if bad:
-            raise ValueError(f"{bad} of {corr.shape[0]} correspondences hold non-finite values")
-        has_features = corr.shape[1] == 8
-        if info.uses_orientation and not has_features:
-            raise ValueError(f"{solver_id} needs orientation/scale columns")
-        pixel_pairs = corr[:, [0, 1, 4, 5]] if has_features else corr[:, :4]
-        self.frame = make_frame(pixel_pairs)
+        self.frame, self.pairs, self.point_rows, self.feature_rows = frame_rows(
+            info, corr, k1, k2, principal_point)
         self.threshold_factor = self.frame.scale
-        local = self.frame.local(corr if has_features else pixel_pairs)
-        self.pairs = local[:, [0, 1, 4, 5]] if has_features else local
-        self.feature_rows = sift_rows(local) if info.uses_orientation else None
-        self.point_rows = epipolar_rows(self.pairs)
         ones = np.ones((self.pairs.shape[0], 1))
         self.p1h = np.hstack([self.pairs[:, :2], ones])
         self.p2h = np.hstack([self.pairs[:, 2:4], ones])
         self.info = info
         self.sample_size = info.sample_size
-        self.pixel_pairs = pixel_pairs
+        self.pixel_pairs = as_pair_array(corr)
 
     @property
     def size(self) -> int:
@@ -197,12 +176,11 @@ class _EpipolarProblem:
     def solve_minimal_batch(self, idx_block: np.ndarray):
         """Raw models of each index set of a block (B, m); none where the core refuses it."""
         features = None if self.feature_rows is None else self.feature_rows[idx_block]
-        rows = self.info.rows(self.point_rows[idx_block], features)
         return [[] if isinstance(result, Exception) else result
-                for result in self.info.core(rows)]
+                for result in solve_rows(self.info, self.point_rows[idx_block], features)]
 
     def errors(self, model) -> np.ndarray:
-        return _epipolar_errors(self.p1h, self.p2h, _as_matrix(model))
+        return self.block_errors([model])[0]
 
     def block_errors(self, models) -> np.ndarray:
         """Errors (k, n) of k models in one vectorized pass."""
@@ -220,11 +198,7 @@ class FundamentalProblem(_EpipolarProblem):
     back to pixel coordinates only when the report is finalized.
     """
 
-    family = "f"
     min_lo_inliers = 8
-
-    def __init__(self, corr, solver_id: str = "f4sift"):
-        super().__init__(corr, solver_id, common_scale_frame)
 
     def refit(self, model, inlier_idx):
         if inlier_idx.shape[0] < self.min_lo_inliers:
@@ -239,11 +213,7 @@ class EssentialProblem(_EpipolarProblem):
     all errors are evaluated on normalized point coordinates.
     """
 
-    family = "e"
     min_lo_inliers = 6
-
-    def __init__(self, corr, k1, k2, solver_id: str = "e3sift"):
-        super().__init__(corr, solver_id, lambda pairs: CalibratedFrame(k1, k2))
 
     def refit(self, model, inlier_idx):
         # raw least-squares fit; scoring keeps the raw output and the manifold
@@ -269,28 +239,18 @@ class FocalProblem(_EpipolarProblem):
     8-point F paired with its seed's focal length is not a consistent model.
     """
 
-    family = "ff"
     min_lo_inliers = 8
-
-    def __init__(self, corr, principal_point, solver_id: str = "ff3sift"):
-        super().__init__(corr, solver_id,
-                         lambda pairs: semicalibrated_frame(pairs, principal_point))
 
     def refit(self, model, inlier_idx):
         return None
 
 
+_ADAPTERS = {"f": FundamentalProblem, "e": EssentialProblem, "ff": FocalProblem}
+
+
 def make_problem(solver_id: str, corr, k1=None, k2=None, principal_point=None):
-    info = solver_info(solver_id)
-    if info.family == "f":
-        return FundamentalProblem(corr, solver_id)
-    if info.family == "e":
-        if k1 is None or k2 is None:
-            raise ValueError("essential-matrix estimation needs both intrinsics")
-        return EssentialProblem(corr, k1, k2, solver_id)
-    if principal_point is None:
-        raise ValueError("semi-calibrated estimation needs the shared principal point")
-    return FocalProblem(corr, principal_point, solver_id)
+    """The adapter of the solver's family; its frame needs k1 and k2 (e) or principal_point (ff)."""
+    return _ADAPTERS[solver_info(solver_id).family](corr, solver_id, k1, k2, principal_point)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +335,7 @@ def ransac(problem, config: RansacConfig = RansacConfig()) -> RansacReport:
         # consumes it sample by sample, in draw order
         keys = rng.random((block_size, n))
         draws = np.argpartition(keys, min(m, n - 1), axis=1)[:, :m]
-        # collinear samples are degenerate only for the uncalibrated families
-        usable = ~degenerate_draws(problem.pixel_pairs, draws, problem.family != "e")
+        usable = ~degenerate_draws(problem.pixel_pairs, draws, problem.info.collinear_degenerate)
         solved = [[] for _ in range(block_size)]
         if np.any(usable):
             block = problem.solve_minimal_batch(draws[usable])

@@ -229,7 +229,6 @@ def _mean_radius(points: np.ndarray, center) -> float:
 
 def _hartley_similarity(points: np.ndarray) -> np.ndarray:
     """Similarity sending the centroid to the origin and mean radius to sqrt(2)."""
-    points = np.asarray(points, dtype=float)
     centroid = points.mean(axis=0)
     return _similarity(centroid, _frame_scale(math.sqrt(2.0), _mean_radius(points, centroid)))
 
@@ -333,7 +332,7 @@ def _batched_adjugate(m: np.ndarray) -> np.ndarray:
     if m.shape[-1] == 2:
         return np.take(m.reshape(m.shape[:-2] + (4,)), _ADJUGATE_2X2,
                        axis=-1).reshape(m.shape) * _SIGNS_2X2
-    f = m.reshape(m.shape[:-2] + (9,))[..., _ADJUGATE_FACTORS]
+    f = np.take(m.reshape(m.shape[:-2] + (9,)), _ADJUGATE_FACTORS, axis=-1)
     return f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
 
 
@@ -498,8 +497,9 @@ def solve_f_8pt(pairs) -> FundamentalMatrix:
     pairs = as_pair_array(pairs)
     if pairs.shape[0] < 8:
         raise ValueError("at least 8 correspondences are required")
-    frame = hartley_frame(pairs)
-    rows = epipolar_rows(frame.local(pairs))
+    t1, t2 = _hartley_similarity(pairs[:, :2]), _hartley_similarity(pairs[:, 2:4])
+    rows = epipolar_rows(np.hstack([_apply_similarity(pairs[:, :2], t1),
+                                    _apply_similarity(pairs[:, 2:4], t2)]))
     # vt needs all nine rows, which the reduced SVD of an 8x9 system lacks
     _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < 9)
     if s[7] < 1e-10 * s[0]:
@@ -507,7 +507,7 @@ def solve_f_8pt(pairs) -> FundamentalMatrix:
     f = vt[-1].reshape(3, 3)
     u, sig, vts = np.linalg.svd(f)
     f = u @ np.diag([sig[0], sig[1], 0.0]) @ vts
-    return frame.model(f)
+    return FundamentalMatrix.from_array(t2.T @ f @ t1)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +524,6 @@ _PICK_CUBE_ROOTS = [1, 5]
 # one factory per refusal code of _e3sift_front, in the order it tests them
 _E3SIFT_REFUSALS = (
     None,
-    functools.partial(np.linalg.LinAlgError, "SVD did not converge"),
     functools.partial(DegenerateSampleError,
                       "constraint system rank below 6; sample does not determine the model"),
     functools.partial(IllConditionedSampleError, "monomial system numerically rank-deficient"),
@@ -552,17 +551,14 @@ def _monomial_solve(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _e3sift_front(rows: np.ndarray):
     """Null space, constraint system and Gauss-Newton start of e3sift samples (batch, 6, 9).
 
+    Every row entry must be finite (solve_rows refuses the other samples).
     Returns the null-space pencils (batch, 3, 3, 3), the constraint systems
     (batch, 10, 10), the starts (alpha, beta) (batch, 2) and a refusal code
     per sample (batch,): 0 where the sample is solved, else the index into
     _E3SIFT_REFUSALS of the first refusal that applies (see
     essential_3sift_batch). A refused sample's start is 0.
     """
-    rows = np.asarray(rows, dtype=float)
     batch = rows.shape[0]
-    finite = np.isfinite(rows).all(axis=(1, 2))
-    if not finite.all():
-        rows = np.where(finite[:, None, None], rows, 0.0)
     _, s, vt = np.linalg.svd(rows)
     pencil = vt[:, 6:].reshape(batch, 3, 3, 3)
     system = _poly.essential_constraint_system(pencil, _poly.BIVARIATE)
@@ -594,10 +590,9 @@ def _e3sift_front(rows: np.ndarray):
     starts = grid[np.arange(batch), best]
 
     code = np.zeros(batch, dtype=np.intp)
-    code[~valid.any(axis=1)] = 4
-    code[~conditioned] = 3
-    code[(s[:, 0] == 0.0) | (s[:, 5] < DEGENERACY_RTOL * s[:, 0])] = 2
-    code[~finite] = 1
+    code[~valid.any(axis=1)] = 3
+    code[~conditioned] = 2
+    code[(s[:, 0] == 0.0) | (s[:, 5] < DEGENERACY_RTOL * s[:, 0])] = 1
     starts[code != 0] = 0.0
     return pencil, system, starts, code
 
@@ -606,18 +601,18 @@ def essential_3sift_batch(rows: np.ndarray) -> list:
     """Core of the three-correspondence essential solver over samples (batch, 6, 9).
 
     Each sample's rows are the stacked constraints in calibrated
-    coordinates. Its three-dimensional null-space pencil (n1, n2, n3) is
-    substituted into the trace and determinant constraints, giving ten
-    equations solved in least squares over the monomial vector
-    y = [a3 b3 a2b ab2 a2 b2 ab a b]. Everything runs as array operations
-    over the samples. A sample is refused by the first rule that applies:
+    coordinates, all finite (solve_rows refuses the other samples). Its
+    three-dimensional null-space pencil (n1, n2, n3) is substituted into
+    the trace and determinant constraints, giving ten equations solved in
+    least squares over the monomial vector y = [a3 b3 a2b ab2 a2 b2 ab a b].
+    Everything runs as array operations over the samples. A sample is
+    refused by the first rule that applies:
 
-    1. a row entry is not finite: LinAlgError("SVD did not converge");
-    2. its rows have rank below 6 (the sixth singular value below
+    1. its rows have rank below 6 (the sixth singular value below
        DEGENERACY_RTOL of the first, or all zero): DegenerateSampleError;
-    3. the monomial system's smallest singular value is below 1e-12 of its
+    2. the monomial system's smallest singular value is below 1e-12 of its
        largest, or all vanish: IllConditionedSampleError;
-    4. no alpha or no beta candidate is finite: IllConditionedSampleError.
+    3. no alpha or no beta candidate is finite: IllConditionedSampleError.
 
     The candidates are alpha in (y7, cbrt y0, y6/y8, y4/y7) and beta in
     (y8, cbrt y1, y6/y7, y5/y8), the non-finite ones dropped. Over their
@@ -870,13 +865,13 @@ def solve_f_focal_6pt(pairs, principal_point) -> SolverOutput:
 class SimilarityFrame:
     """Pixel coordinates through one isotropic similarity per image.
 
-    scale is the factor both similarities share (frame units per pixel), or
-    None when each image has its own. Models come back in pixels.
+    Both similarities scale by scale (frame units per pixel); they differ
+    in their translations only. Models come back in pixels.
     """
 
     t1: np.ndarray
     t2: np.ndarray
-    scale: float | None = None
+    scale: float
     models_in_pixels = True
 
     def local(self, corr: np.ndarray) -> np.ndarray:
@@ -930,12 +925,10 @@ class CalibratedFrame:
         return EssentialMatrix.from_array(raw)
 
 
-def hartley_frame(pairs: np.ndarray) -> SimilarityFrame:
-    """Each image's centroid to the origin and its mean radius to sqrt(2)."""
-    return SimilarityFrame(_hartley_similarity(pairs[:, :2]), _hartley_similarity(pairs[:, 2:4]))
+# each family's frame builder takes (pixel pairs (n, 4), k1, k2, principal
+# point) and ignores what its family does not use
 
-
-def common_scale_frame(pairs: np.ndarray) -> SimilarityFrame:
+def common_scale_frame(pairs: np.ndarray, k1=None, k2=None, principal_point=None):
     """Per-image translations with one shared isotropic scale.
 
     A shared scale keeps the symmetric epipolar error an exact multiple of
@@ -948,8 +941,17 @@ def common_scale_frame(pairs: np.ndarray) -> SimilarityFrame:
     return SimilarityFrame(_similarity(c1, s), _similarity(c2, s), s)
 
 
-def semicalibrated_frame(pairs: np.ndarray, principal_point) -> SimilarityFrame:
+def calibrated_frame(pairs: np.ndarray, k1, k2, principal_point=None) -> CalibratedFrame:
+    """Each image through its inverse intrinsics, which must both be given."""
+    if k1 is None or k2 is None:
+        raise ValueError("essential-matrix estimation needs both intrinsics")
+    return CalibratedFrame(k1, k2)
+
+
+def semicalibrated_frame(pairs: np.ndarray, k1=None, k2=None, principal_point=None):
     """One similarity for both images: the principal point to the origin, unit mean radius."""
+    if principal_point is None:
+        raise ValueError("semi-calibrated estimation needs the shared principal point")
     pp = np.asarray(principal_point, dtype=float).reshape(2)
     s = _frame_scale(1.0, _mean_radius(np.vstack([pairs[:, :2], pairs[:, 2:4]]), pp))
     t = _similarity(pp, s)
@@ -962,13 +964,16 @@ def semicalibrated_frame(pairs: np.ndarray, principal_point) -> SimilarityFrame:
 
 @dataclass(frozen=True)
 class SolverInfo:
-    """A minimal solver: its family, sample size, row layout and batched core.
+    """A minimal solver: its family, sample size, row layout, core, frame and degeneracy rule.
 
     layout places the feature rows: None (point rows only), "first3" (the
     rows of the first three correspondences after the point rows) or
-    "interleaved" (point and feature rows alternate). core maps stacked
-    rows (batch, r, 9) in the solver's frame to one entry per sample: its
-    raw models, or the exception that refuses the sample.
+    "interleaved" (point and feature rows alternate). core, called through
+    solve_rows only, maps stacked finite rows (batch, r, 9) in the solver's
+    frame to one entry per sample: its raw models, or the exception that
+    refuses the sample. frame is the family's frame builder.
+    collinear_degenerate is whether RANSAC discards a draw whose points are
+    collinear in either image (the uncalibrated families).
     """
 
     solver_id: str
@@ -976,30 +981,33 @@ class SolverInfo:
     sample_size: int
     layout: str | None
     core: Callable
+    frame: Callable
+    collinear_degenerate: bool
 
     @property
     def uses_orientation(self) -> bool:
         return self.layout is not None
 
     def rows(self, point_rows: np.ndarray, feature_rows: np.ndarray | None) -> np.ndarray:
-        """The core's rows (batch, r, 9) from point and feature rows (batch, m, 9)."""
+        """The core's rows (..., r, 9) from point and feature rows (..., m, 9)."""
         if self.layout is None:
             return point_rows
         if self.layout == "first3":
-            return np.concatenate([point_rows, feature_rows[:, :3]], axis=1)
-        rows = np.empty((point_rows.shape[0], 2 * point_rows.shape[1], 9))
-        rows[:, 0::2] = point_rows
-        rows[:, 1::2] = feature_rows
+            return np.concatenate([point_rows, feature_rows[..., :3, :]], axis=-2)
+        rows = np.empty(point_rows.shape[:-2] + (2 * point_rows.shape[-2], 9))
+        rows[..., 0::2, :] = point_rows
+        rows[..., 1::2, :] = feature_rows
         return rows
 
 
 MINIMAL_SOLVERS = {info.solver_id: info for info in (
-    SolverInfo("f4sift", "f", 4, "first3", _rank2_core),
-    SolverInfo("f7pt", "f", 7, None, _rank2_core),
-    SolverInfo("e3sift", "e", 3, "interleaved", essential_3sift_batch),
-    SolverInfo("e5pt", "e", 5, None, _five_point_core),
-    SolverInfo("ff3sift", "ff", 3, "interleaved", _semicalibrated_batch),
-    SolverInfo("ff6pt", "ff", 6, None, _semicalibrated_batch),
+    SolverInfo("f4sift", "f", 4, "first3", _rank2_core, common_scale_frame, True),
+    SolverInfo("f7pt", "f", 7, None, _rank2_core, common_scale_frame, True),
+    SolverInfo("e3sift", "e", 3, "interleaved", essential_3sift_batch, calibrated_frame, False),
+    SolverInfo("e5pt", "e", 5, None, _five_point_core, calibrated_frame, False),
+    SolverInfo("ff3sift", "ff", 3, "interleaved", _semicalibrated_batch,
+               semicalibrated_frame, True),
+    SolverInfo("ff6pt", "ff", 6, None, _semicalibrated_batch, semicalibrated_frame, True),
 )}
 
 
@@ -1010,44 +1018,72 @@ def solver_info(solver_id: str) -> SolverInfo:
         raise ValueError(f"unknown solver '{solver_id}'") from None
 
 
-def _stacked_rows(info: SolverInfo, corr: np.ndarray) -> np.ndarray:
-    """One sample's rows (1, r, 9) in the solver's layout, from (m, 8) or (m, 4) input."""
+def _constraint_rows(info: SolverInfo, corr: np.ndarray):
+    """Point pairs (n, 4), point rows and feature rows (n, 9) of an (n, 8) or (n, 4) array.
+
+    Feature rows are None without orientation. Rows of coordinates near the
+    float range overflow to inf, which solve_rows refuses.
+    """
     pairs = corr[:, [0, 1, 4, 5]] if corr.shape[1] == 8 else corr
-    features = sift_rows(corr)[None] if info.uses_orientation else None
-    return info.rows(epipolar_rows(pairs)[None], features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return pairs, epipolar_rows(pairs), sift_rows(corr) if info.uses_orientation else None
+
+
+def frame_rows(info: SolverInfo, corr: np.ndarray, k1=None, k2=None, principal_point=None):
+    """A solver's frame fitted to correspondences (n, 8) or pairs (n, 4), and their rows in it.
+
+    The whole array goes into info.frame. Returns (frame, point pairs in
+    the frame, point rows, feature rows or None). Raises ValueError when
+    the array holds a non-finite value or lacks the orientation columns
+    the solver needs.
+    """
+    bad = int(np.count_nonzero(~np.isfinite(corr).all(axis=1)))
+    if bad:
+        raise ValueError(f"{bad} of {corr.shape[0]} correspondences hold non-finite values")
+    if info.uses_orientation and corr.shape[1] != 8:
+        raise ValueError(f"{info.solver_id} needs orientation/scale columns")
+    frame = info.frame(as_pair_array(corr), k1, k2, principal_point)
+    return (frame, *_constraint_rows(info, frame.local(corr)))
+
+
+def solve_rows(info: SolverInfo, point_rows: np.ndarray, feature_rows) -> list:
+    """The core's entry per sample from point and feature rows (batch, m, 9).
+
+    The rows are stacked in the solver's layout and run through info.core
+    as one batch. A sample holding a non-finite entry is refused with
+    IllConditionedSampleError; the core sees zeros in its place, so no
+    LAPACK call meets a NaN or an inf.
+    """
+    rows = info.rows(point_rows, feature_rows)
+    finite = np.isfinite(rows).all(axis=(1, 2))
+    if not finite.all():
+        rows = np.where(finite[:, None, None], rows, 0.0)
+    return [result if ok else IllConditionedSampleError(
+        "constraint rows not finite: the sample's coordinates overflow them")
+        for result, ok in zip(info.core(rows), finite.tolist())]
 
 
 def run_minimal_solver(solver_id: str, corr, k1=None, k2=None,
                        principal_point=None) -> SolverOutput:
-    """Solve one minimal sample with a solver by id, in a frame fitted to the sample.
+    """Solve one minimal sample with a solver by id, in its family's frame fitted to the sample.
 
-    The frame is Hartley's for the f family, the inverse intrinsics (identity
-    by default) for e and the principal point (the origin by default) for
-    ff. Raises the exception with which the core refuses the sample. Row
+    The sample runs through frame_rows and solve_rows, as RANSAC's samples
+    do: e solvers need k1 and k2, ff solvers the principal point (else
+    ValueError). Raises the exception with which the sample is refused. Row
     residuals are taken in the coordinates of the returned models.
     """
     info = solver_info(solver_id)
     corr = as_sift_array(corr)
     if corr.shape[0] != info.sample_size:
         raise ValueError(f"{solver_id} needs exactly {info.sample_size} correspondences")
-    pairs = as_pair_array(corr)
-    if not info.uses_orientation:
-        corr = pairs
-    if info.family == "f":
-        frame = hartley_frame(pairs)
-    elif info.family == "e":
-        identity = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
-        frame = CalibratedFrame(identity if k1 is None else k1, identity if k2 is None else k2)
-    else:
-        frame = semicalibrated_frame(pairs, (0.0, 0.0) if principal_point is None
-                                     else principal_point)
-    rows = _stacked_rows(info, frame.local(corr))
-    raw = info.core(rows)[0]
+    frame, _, points, features = frame_rows(info, corr, k1, k2, principal_point)
+    raw = solve_rows(info, points[None], None if features is None else features[None])[0]
     if isinstance(raw, Exception):
         raise raw
     models = [frame.model(m) for m in raw]
     if frame.models_in_pixels:
-        rows = _stacked_rows(info, corr)
-    residuals = [float(np.max(normalized_residuals(rows[0], _as_matrix(m).reshape(-1))))
+        _, points, features = _constraint_rows(info, corr)
+    rows = info.rows(points, features)
+    residuals = [float(np.max(normalized_residuals(rows, _as_matrix(m).reshape(-1))))
                  for m in models]
     return SolverOutput(models=models, row_residuals=residuals)

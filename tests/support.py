@@ -283,11 +283,8 @@ def scalar_e3sift_start(rows: np.ndarray):
     np.linalg.lstsq and the alpha-major candidate grid, one sample at a
     time. Returns the null-space pencil (3, 3, 3), the constraint system
     (10, 10), the monomial solution y and the Gauss-Newton start (alpha, beta).
-    A non-finite entry is refused as np.linalg.svd refuses a NaN; the SVD
-    itself returns NaN for an infinite entry without raising.
+    The rows must be finite.
     """
-    if not np.isfinite(rows).all():
-        raise np.linalg.LinAlgError("SVD did not converge")
     pencil = nullspace(rows, 3).reshape(3, 3, 3)
     system = _poly.essential_constraint_system(pencil, _poly.BIVARIATE)
     y, _, _, sv = np.linalg.lstsq(system[:, :9], -system[:, 9], rcond=None)

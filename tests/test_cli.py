@@ -446,14 +446,29 @@ class TestInputErrors:
 
     def test_overflowing_rows_are_refused(self, tmp_path):
         # u1 = u2 = 1e300 overflows the record's epipolar row to inf; the
-        # e3sift core refuses the non-finite rows instead of solving on them
-        data = _with_huge_coordinate(tmp_path, "e3sift_clean.csv", columns=(0, 4))
-        result = subprocess.run([sys.executable, "-m", "siftpose.cli", "solve",
-                                 "--problem", "e3sift", "--input", str(data)],
-                                capture_output=True, text=True, timeout=60)
-        assert result.returncode == 4
-        assert "estimation failed: SVD did not converge" in result.stderr
-        assert "Traceback" not in result.stderr
+        # sample is refused before its core runs on the non-finite rows
+        for problem, fixture, size in (("e3sift", "e3sift_clean.csv", 3),
+                                       ("e5pt", "ransac_f_demo.csv", 5)):
+            data = _with_huge_coordinate(tmp_path, fixture, columns=(0, 4), count=size)
+            result = subprocess.run([sys.executable, "-m", "siftpose.cli", "solve",
+                                     "--problem", problem, "--input", str(data)],
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 4, problem
+            assert "estimation failed: constraint rows not finite" in result.stderr
+            assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
+    @pytest.mark.parametrize("problem", ["e3sift", "e5pt"])
+    def test_overflowing_rows_end_ransac_in_time(self, tmp_path, problem):
+        # every tenth record at u1 = u2 = 1e300: each drawn sample holding
+        # one is refused by the row screen, where the e5pt core's SVD used
+        # to run on the infinite rows without end
+        data = _with_huge_coordinate(tmp_path, "ransac_f_demo.csv", columns=(0, 4), step=10)
+        result = subprocess.run(
+            [sys.executable, "-m", "siftpose.cli", "ransac", "--problem", problem,
+             "--input", str(data), "--meta", os.path.join(FIXTURES, "ransac_f_demo.meta"),
+             "--seed", "1", "--output", str(tmp_path / "report.csv")],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0 and result.stderr == ""
 
     @pytest.mark.parametrize("problem", ["e3sift", "e5pt"])
     def test_overflowing_distances_exclude_the_record(self, tmp_path, problem):
@@ -470,17 +485,23 @@ class TestInputErrors:
         assert read_benchmark_rows(out)[0].status == "ok"
 
 
-def _with_huge_coordinate(tmp_path, fixture, columns=(0,)):
-    """A copy of a fixture whose first record holds 1e300 in the given columns (u1)."""
+def _with_huge_coordinate(tmp_path, fixture, columns=(0,), step=None, count=None):
+    """A copy of a fixture's first count records (all by default) with 1e300 in some columns.
+
+    The first record, and every step-th record after it when step is
+    given, holds 1e300 in the given columns (u1 by default).
+    """
     with open(os.path.join(FIXTURES, fixture)) as handle:
         lines = handle.read().splitlines()
-    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    fields = lines[first].split(",")
-    for column in columns:
-        fields[column] = "1e300"
-    lines[first] = ",".join(fields)
+    header = [line for line in lines if line.startswith("#")]
+    records = [line for line in lines if not line.startswith("#")][:count]
+    for i in range(0, len(records), step or len(records)):
+        fields = records[i].split(",")
+        for column in columns:
+            fields[column] = "1e300"
+        records[i] = ",".join(fields)
     data = tmp_path / "huge.csv"
-    data.write_text("\n".join(lines) + "\n")
+    data.write_text("\n".join(header + records) + "\n")
     return data
 
 

@@ -21,6 +21,8 @@ from siftpose.robust import (
     score_msac,
 )
 
+from siftpose.solvers import run_minimal_solver, solver_info
+
 from conftest import spanning_indices
 
 
@@ -261,8 +263,8 @@ class TestRansacEndToEnd:
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(4)
         scene, corr, _ = make_robust_instance(150, 0.6, 0.5, rng)
-        problem_a = EssentialProblem(corr, scene.k1, scene.k2, "e3sift")
-        problem_b = EssentialProblem(corr, scene.k1, scene.k2, "e3sift")
+        problem_a = EssentialProblem(corr, "e3sift", scene.k1, scene.k2)
+        problem_b = EssentialProblem(corr, "e3sift", scene.k1, scene.k2)
         a = ransac(problem_a, RansacConfig(seed=11))
         b = ransac(problem_b, RansacConfig(seed=11))
         assert np.array_equal(a.model.m, b.model.m)
@@ -292,7 +294,7 @@ class TestRansacEndToEnd:
         for trial in range(trials):
             rng = np.random.default_rng(100 + trial)
             scene, corr, _ = make_robust_instance(200, 0.6, 0.0, rng)
-            problem = EssentialProblem(corr, scene.k1, scene.k2, "e3sift")
+            problem = EssentialProblem(corr, "e3sift", scene.k1, scene.k2)
             report = ransac(problem, RansacConfig(seed=trial))
             if not report.success:
                 continue
@@ -336,14 +338,22 @@ class TestRansacEndToEnd:
         assert not report.success and report.iterations_run == 0
 
     def test_make_problem_validation(self, scene):
-        with pytest.raises(ValueError):
-            make_problem("e3sift", scene.correspondences)
+        # the family frame refuses missing intrinsics alike for RANSAC and
+        # for one minimal sample
+        for solver_id, message in (("e3sift", "needs both intrinsics"),
+                                   ("e5pt", "needs both intrinsics"),
+                                   ("ff3sift", "needs the shared principal point"),
+                                   ("ff6pt", "needs the shared principal point")):
+            with pytest.raises(ValueError, match=message) as robust_error:
+                make_problem(solver_id, scene.correspondences)
+            size = solver_info(solver_id).sample_size
+            with pytest.raises(ValueError) as solver_error:
+                run_minimal_solver(solver_id, scene.correspondences[:size])
+            assert str(solver_error.value) == str(robust_error.value)
         corr = scene.correspondences.copy()
         corr[[2, 5], [0, 6]] = [np.nan, np.inf]
         with pytest.raises(ValueError, match="2 of"):
             make_problem("f4sift", corr)
-        with pytest.raises(ValueError):
-            make_problem("ff3sift", scene.correspondences)
         problem = make_problem("ff3sift", scene.correspondences,
                                principal_point=scene.principal_point)
         assert isinstance(problem, FocalProblem)
@@ -354,7 +364,7 @@ class TestRansacEndToEnd:
         # structural outcome, not tight recovery
         rng = np.random.default_rng(7)
         scene, corr, mask = make_robust_instance(150, 0.7, 0.25, rng)
-        problem = FocalProblem(corr, scene.principal_point, "ff3sift")
+        problem = FocalProblem(corr, "ff3sift", principal_point=scene.principal_point)
         report = ransac(problem, RansacConfig(seed=2))
         assert report.success
         assert report.model.focal > 0.0
@@ -367,7 +377,7 @@ class TestRansacEndToEnd:
         # focal length in local optimization gives 11-66% focal error
         rng = np.random.default_rng(np.random.SeedSequence((556, trial)))
         scene, corr, _ = make_robust_instance(200, 0.6, 0.0, rng)
-        problem = FocalProblem(corr, scene.principal_point, "ff3sift")
+        problem = FocalProblem(corr, "ff3sift", principal_point=scene.principal_point)
         report = ransac(problem, RansacConfig(seed=trial))
         assert report.success
         assert abs(report.model.focal - scene.focal) / scene.focal <= 1e-6
