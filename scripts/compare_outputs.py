@@ -18,7 +18,8 @@ first field. When the lines differ in order only, each line is matched to
 a distinct line of the other file by the same rules, and the file is
 reported as roundoff-only and reordered: models tied at a residual near
 1e-20 are listed in an order that roundoff decides. A file only one
-directory holds is changed. Exits 1 when any file changed, 0 otherwise.
+directory holds is changed; a subdirectory both hold is compared the same
+way, file by file. Exits 1 when any file changed, 0 otherwise.
 """
 import math
 import os
@@ -109,11 +110,15 @@ def compare_text(text_a: str, text_b: str):
     return None, worst, True
 
 
-def compare_dirs(dir_a: str, dir_b: str) -> bool:
-    """Print one verdict per file; True when no file changed."""
+def compare_dirs(dir_a: str, dir_b: str, prefix: str = "") -> bool:
+    """Print one verdict per file, subdirectories included; True when no file changed."""
     ok = True
-    for name in sorted(set(os.listdir(dir_a)) | set(os.listdir(dir_b))):
-        path_a, path_b = os.path.join(dir_a, name), os.path.join(dir_b, name)
+    for base in sorted(set(os.listdir(dir_a)) | set(os.listdir(dir_b))):
+        path_a, path_b = os.path.join(dir_a, base), os.path.join(dir_b, base)
+        name = prefix + base
+        if os.path.isdir(path_a) and os.path.isdir(path_b):
+            ok = compare_dirs(path_a, path_b, name + "/") and ok
+            continue
         if not (os.path.isfile(path_a) and os.path.isfile(path_b)):
             print(f"changed        {name}: only in {dir_a if os.path.isfile(path_a) else dir_b}")
             ok = False

@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled fixtures under fixtures/.
+"""Regenerate the bundled fixtures under fixtures/, or under another directory.
+
+Usage: python3 scripts/make_fixtures.py [out_dir]
 
 Deterministic: clean minimal samples for each solver in its native
 coordinates, a robust-estimation demo pair, and a 20-pair mini dataset with
-planted outliers for the dataset runner.
+planted outliers for the dataset runner. out_dir defaults to the fixtures/
+directory of this checkout; writing elsewhere lets the committed fixtures be
+checked against a fresh copy with scripts/compare_outputs.py.
 """
+import argparse
 import os
 import sys
 
@@ -29,17 +34,17 @@ def spanning(scene, size, rng):
     return rng.permutation(idx)
 
 
-def minimal_samples():
+def minimal_samples(out):
     rng = np.random.default_rng(2024)
     scene = generate_scene(SyntheticConfig(), rng)
 
     # e3sift consumes calibrated coordinates when no metadata is given
     idx = spanning(scene, 3, rng)
     local = normalize_sift_correspondences(scene.correspondences[idx], scene.k1, scene.k2)
-    write_correspondences(os.path.join(OUT, "e3sift_clean.csv"), local)
+    write_correspondences(os.path.join(out, "e3sift_clean.csv"), local)
 
     idx = spanning(scene, 4, rng)
-    write_correspondences(os.path.join(OUT, "f4sift_clean.csv"),
+    write_correspondences(os.path.join(out, "f4sift_clean.csv"),
                           scene.correspondences[idx])
 
     # ff3sift assumes the principal point at the origin without metadata
@@ -47,23 +52,23 @@ def minimal_samples():
     shifted = scene.correspondences[idx].copy()
     shifted[:, 0:2] -= scene.principal_point
     shifted[:, 4:6] -= scene.principal_point
-    write_correspondences(os.path.join(OUT, "ff3sift_clean.csv"), shifted)
+    write_correspondences(os.path.join(out, "ff3sift_clean.csv"), shifted)
 
 
-def ransac_demo():
+def ransac_demo(out):
     rng = np.random.default_rng(77)
     scene, corr, _ = make_robust_instance(200, 0.6, 0.5, rng)
-    write_correspondences(os.path.join(OUT, "ransac_f_demo.csv"), corr)
+    write_correspondences(os.path.join(out, "ransac_f_demo.csv"), corr)
     meta = PairMetadata(k1=scene.k1.matrix(), k2=scene.k2.matrix(),
                         gt_rotation=scene.pose.rotation,
                         gt_translation=scene.pose.translation,
                         gt_focal=scene.focal, dataset="synthetic",
                         sequence="demo", pair_id="ransac_f_demo")
-    write_metadata(os.path.join(OUT, "ransac_f_demo.meta"), meta)
+    write_metadata(os.path.join(out, "ransac_f_demo.meta"), meta)
 
 
-def mini_dataset(pairs=20):
-    root = os.path.join(OUT, "mini_dataset")
+def mini_dataset(out, pairs=20):
+    root = os.path.join(out, "mini_dataset")
     os.makedirs(root, exist_ok=True)
     lines = []
     for index in range(pairs):
@@ -85,12 +90,15 @@ def mini_dataset(pairs=20):
         handle.write("\n".join(lines) + "\n")
 
 
-def main():
-    os.makedirs(OUT, exist_ok=True)
-    minimal_samples()
-    ransac_demo()
-    mini_dataset()
-    print(f"fixtures written under {os.path.abspath(OUT)}")
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("out_dir", nargs="?", default=OUT)
+    out = parser.parse_args(argv).out_dir
+    os.makedirs(out, exist_ok=True)
+    minimal_samples(out)
+    ransac_demo(out)
+    mini_dataset(out)
+    print(f"fixtures written under {os.path.abspath(out)}")
 
 
 if __name__ == "__main__":

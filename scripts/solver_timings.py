@@ -15,16 +15,18 @@ solver, each interleaved the same way:
 - call: every round calls the public solver of each copy once per sample,
   alternating from sample to sample which copy goes first. A refused sample
   is timed like any other.
-- block: the samples' rows, as copy A's robust.make_problem builds them on
-  each sample alone, are stacked into blocks of 16 (RANSAC's block size;
-  the last block wraps round to the first samples), and every round runs
-  the batched core of each copy (SolverInfo.core) once per block,
-  alternating from block to block which copy goes first.
+- block: the samples' point and feature rows, as copy A's
+  robust.make_problem builds them on each sample alone, are stacked into
+  blocks of 16 (RANSAC's block size; the last block wraps round to the
+  first samples), and every round runs each copy's solvers.solve_rows once
+  per block, alternating from block to block which copy goes first. That
+  is the path RANSAC runs: the solver's row layout, the non-finite screen
+  and the batched core.
 
 Prints, per solver and timing: the median and mean time of each copy in ms
 (per sample for blocks: the block time over 16), the ratio of the medians
 (b/a), the range of the per-round median ratios, and the number of refused
-samples of each copy: refused calls, or block entries that the core
+samples of each copy: refused calls, or block entries that solve_rows
 returns as an exception.
 """
 import argparse
@@ -71,9 +73,9 @@ def time_call(solvers, call, sample) -> tuple[float, bool]:
     return time.perf_counter() - start, refused
 
 
-def time_block(core, rows) -> tuple[float, int]:
+def time_block(solvers, info, block) -> tuple[float, int]:
     start = time.perf_counter()
-    out = core(rows)
+    out = solvers.solve_rows(info, *block)
     elapsed = time.perf_counter() - start
     return elapsed / BLOCK, sum(isinstance(entry, Exception) for entry in out)
 
@@ -147,18 +149,20 @@ def main(argv=None) -> int:
             solvers[side], call, (item[0], *intrinsics[side][item[2]], item[1]))
             for side in (0, 1)]
         info = solvers[0].solver_info(solver_id)
-        rows = []
+        problems = []
         for (corr, pp), scene in zip(samples[solver_id], scenes):
             kwargs = {"e": {"k1": scene.k1, "k2": scene.k2},
                       "ff": {"principal_point": pp}}.get(info.family, {})
-            problem = robust.make_problem(solver_id, corr if info.uses_orientation
-                                          else corr[:, [0, 1, 4, 5]], **kwargs)
-            features = None if problem.feature_rows is None else problem.feature_rows[None]
-            rows.append(info.rows(problem.point_rows[None], features)[0])
-        blocks = [np.stack([rows[(start + k) % len(rows)] for k in range(BLOCK)])
-                  for start in range(0, len(rows), BLOCK)]
-        cores = [lambda block, side=side: time_block(solvers[side].solver_info(solver_id).core,
-                                                     block) for side in (0, 1)]
+            problems.append(robust.make_problem(solver_id, corr if info.uses_orientation
+                                                else corr[:, [0, 1, 4, 5]], **kwargs))
+        blocks = []
+        for start in range(0, len(problems), BLOCK):
+            block = [problems[(start + k) % len(problems)] for k in range(BLOCK)]
+            blocks.append((np.stack([p.point_rows for p in block]),
+                           np.stack([p.feature_rows for p in block])
+                           if info.uses_orientation else None))
+        cores = [lambda block, side=side: time_block(
+            solvers[side], solvers[side].solver_info(solver_id), block) for side in (0, 1)]
         for timing, (times, round_ratios, refused) in (
                 ("call", interleaved(args.rounds, items, calls)),
                 ("block", interleaved(args.rounds, blocks, cores))):

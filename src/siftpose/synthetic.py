@@ -103,19 +103,27 @@ def _look_at(center: np.ndarray, rng, target=None) -> tuple[np.ndarray, np.ndarr
     while True:
         up = rng.standard_normal(3)
         up -= (up @ z) * z
-        norm = np.linalg.norm(up)
+        norm = _norm(up)
         if norm > 1e-6:
             up /= norm
             break
     x = _unit(_cross(up, z))
     y = _cross(z, x)
-    rotation = np.stack([x, y, z])
+    rotation = np.array([x, y, z])
     return rotation, -rotation @ center
 
 
 def _project(p: np.ndarray, world: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    h = np.hstack([world, np.ones((world.shape[0], 1))]) @ p.T
+    """Pixels and depths of homogeneous world points (n, 4) under the 3x4 camera p."""
+    h = world @ p.T
     return h[:, :2] / h[:, 2:3], h[:, 2]
+
+
+def _well_spread(quad: np.ndarray) -> bool:
+    """Whether four image points are neither clustered nor near-collinear."""
+    spread = quad - quad.sum(axis=0) / quad.shape[0]
+    s = np.linalg.svd(spread, compute_uv=False)
+    return not (s[1] < 0.2 * s[0] or s[0] < 1e-9)
 
 
 def _normalized_dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -138,7 +146,7 @@ def _normalized_dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     rows[1::2, 8] = -b[:, 1]
     _, _, vt = np.linalg.svd(rows)
     h = np.linalg.inv(t2) @ vt[-1].reshape(3, 3) @ t1
-    return h / np.linalg.norm(h)
+    return h / _norm(h.ravel())
 
 
 def _rotations(angles: np.ndarray) -> np.ndarray:
@@ -203,7 +211,7 @@ def _try_generate(config: SyntheticConfig, rng):
     radius = rng.uniform(*SPHERE_RADIUS_RANGE)
     c1 = _unit(rng.standard_normal(3)) * radius
     c2 = _unit(rng.standard_normal(3)) * radius
-    if np.linalg.norm(c1 - c2) < 1e-3 * radius:
+    if _norm(c1 - c2) < 1e-3 * radius:
         return None
     # aiming both cameras exactly at one point makes the optical axes
     # intersect, which leaves a shared focal length unobservable; jittered
@@ -277,38 +285,60 @@ def _try_generate(config: SyntheticConfig, rng):
 def _try_plane(config: SyntheticConfig, rng, c1, c2, p1, p2):
     """One plane with visible, well-conditioned points, or None.
 
-    Rejects grazing planes (the affinity noise channel blows up and no real
-    detector would fire there), points behind either camera, mirrored
-    affinities (cameras on opposite sides), and clustered or near-collinear
-    homography quadruples whose re-estimation would be hypersensitive to
-    noise.
+    A try draws the plane, and then its basis direction and its points
+    unless test 1 rejects it. Tries are rejected in this order:
+
+    1. grazing planes, seen from either camera at |cos| < 0.25 (the
+       affinity noise channel blows up and no real detector would fire
+       there);
+    2. cameras on opposite sides of the plane, whose affinities are all
+       mirrored;
+    3. points behind either camera;
+    4. clustered or near-collinear homography quadruples in either image,
+       whose re-estimation would be hypersensitive to noise;
+    5. a DLT homography that disagrees with the direct projection;
+    6. an affinity with det <= 1e-12.
+
+    Test 2 needs no projection and is exact. For the plane-induced
+    homography a point at depths z1, z2 has affinity det (z1/z2)^3 d2/d1,
+    where di is camera i's signed distance to the plane (Hartley and
+    Zisserman, Multiple View Geometry, result 13.1). With both depths
+    positive (test 3) the det has the sign of d1 d2, which is the sign of
+    cos1 cos2. Test 1 keeps each |cos| >= 0.25, so roundoff never decides
+    that sign. Test 2 therefore rejects only tries that one of tests 3 to 6
+    would reject too, and it comes after the try's last draw: with or
+    without it, every scene and the random stream after it are the same.
+    Test 6 stays as the exact guard.
     """
+    n = config.points_per_plane + 4
     for _ in range(PLANE_TRIES):
         normal = _unit(rng.standard_normal(3))
-        offset = rng.uniform(0.0, 1.0)
-        center = offset * normal
-        if any(abs(_unit(cam - center) @ normal) < 0.25 for cam in (c1, c2)):
+        center = rng.random() * normal  # the same draw as rng.uniform(0.0, 1.0)
+        cos1 = _unit(c1 - center) @ normal
+        if abs(cos1) < 0.25:
+            continue
+        cos2 = _unit(c2 - center) @ normal
+        if abs(cos2) < 0.25:
             continue
         seed_dir = _unit(rng.standard_normal(3))
         while abs(seed_dir @ normal) > 0.99:
             seed_dir = _unit(rng.standard_normal(3))
+        uv = rng.uniform(-1.0, 1.0, size=(n, 2))
+        if cos1 * cos2 < 0.0:
+            continue
         b1 = _unit(_cross(normal, seed_dir))
         b2 = _cross(normal, b1)
-
-        uv = rng.uniform(-1.0, 1.0, size=(config.points_per_plane + 4, 2))
-        world = center + uv[:, :1] * b1 + uv[:, 1:] * b2
+        world = np.empty((n, 4))
+        world[:, :3] = center + uv[:, :1] * b1 + uv[:, 1:] * b2
+        world[:, 3] = 1.0
         img1, z1 = _project(p1, world)
+        if z1.min() < 1e-4:
+            continue
         img2, z2 = _project(p2, world)
-        if np.any(z1 < 1e-4) or np.any(z2 < 1e-4):
+        if z2.min() < 1e-4:
             continue
         d1, d2 = img1[-4:], img2[-4:]
-        ok = True
-        for quad in (d1, d2):
-            spread = quad - quad.mean(axis=0)
-            s = np.linalg.svd(spread, compute_uv=False)
-            if s[1] < 0.2 * s[0] or s[0] < 1e-9:
-                ok = False
-        if not ok:
+        if not (_well_spread(d1) and _well_spread(d2)):
             continue
         h = _normalized_dlt_homography(d1, d2)
         proj, jac = affine_jacobians_of_homography(h, img1[:-4])

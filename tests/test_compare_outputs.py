@@ -47,3 +47,12 @@ def test_file_in_one_directory_is_changed(tmp_path):
     dir_a, dir_b = _dirs(tmp_path, HEADER, HEADER)
     (tmp_path / "b" / "extra.csv").write_text(HEADER)
     assert not compare_outputs.compare_dirs(dir_a, dir_b)
+
+
+def test_subdirectories_are_compared(tmp_path, capsys):
+    dir_a, dir_b = _dirs(tmp_path, HEADER, HEADER)
+    for side, row in (("a", "0,e3sift,-3.5,1.25,7,ok\n"), ("b", "0,e3sift,-3.5,1.25,8,ok\n")):
+        (tmp_path / side / "sub").mkdir()
+        (tmp_path / side / "sub" / "out.csv").write_text(HEADER + row)
+    assert not compare_outputs.compare_dirs(dir_a, dir_b)
+    assert "changed        sub/out.csv" in capsys.readouterr().out

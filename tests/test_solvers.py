@@ -410,13 +410,48 @@ class TestSingleCore:
             features.append(feature_rows)
         return np.stack(points), None if info.layout is None else np.stack(features)
 
+    @staticmethod
+    def _single_start_five_point_samples(count):
+        """Random e5pt rows (count, 5, 9) whose five-point core polishes exactly one start.
+
+        The real roots of the five-point system come in pairs, so a generic
+        sample polishes an even number of starts, and a batch of one sample
+        never makes a polish batch of one. Each of these samples sits where
+        its last real pair turns complex along a segment between a sample
+        with models and one without: the conjugate roots are still valid
+        (|Im| <= 1e-6) and share their real part, so they merge into one
+        start.
+        """
+        info = solver_info("e5pt")
+
+        def models(rows):
+            out = solve_rows(info, rows[None], None)[0]
+            return 0 if isinstance(out, Exception) else len(out)
+
+        rng = np.random.default_rng(41)
+        samples = []
+        while len(samples) < count:
+            a, b = rng.standard_normal((2, 5, 9))
+            if models(a) == 0 or models(b) != 0:
+                continue
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if models((1 - mid) * a + mid * b) else (lo, mid)
+            samples.append((1 - lo) * a + lo * b)
+            assert models(samples[-1]) == 1
+        return np.stack(samples)
+
     @pytest.mark.parametrize("solver_id", ["f4sift", "f7pt", "e3sift", "e5pt",
                                            "ff3sift", "ff6pt"])
     def test_batch_rows_equal_samples_alone(self, scenes, solver_id):
         # the one core call site: row i of a mixed batch is sample i solved
-        # alone, bitwise, and a refused sample has the same refusal
+        # alone, bitwise, and a refused sample has the same refusal; e5pt
+        # also runs samples that polish a single start when alone
         info = solver_info(solver_id)
         points, features = self._mixed_samples(scenes, info)
+        if solver_id == "e5pt":
+            points = np.concatenate([points, self._single_start_five_point_samples(8)])
         batched = solve_rows(info, points, features)
         refusals = set()
         for i, result in enumerate(batched):

@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from siftpose.constraints import epipolar_rows, sift_rows
-from siftpose.geometry import symmetric_epipolar_errors
+from siftpose.constraints import affine_jacobians_of_homography, epipolar_rows, sift_rows
+from siftpose.geometry import CameraIntrinsics, symmetric_epipolar_errors
 from siftpose.synthetic import (
+    FOCAL_RANGE,
+    IMAGE_SIZE,
+    SPHERE_RADIUS_RANGE,
     SyntheticConfig,
+    _look_at,
+    _normalized_dlt_homography,
     add_noise,
     evaluate_trial,
     generate_scene,
@@ -104,6 +109,57 @@ class TestSceneInvariants:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SyntheticConfig(plane_count=1)
+
+
+def _visible_plane_draws(count: int, seed: int):
+    """Seeded (cameras, plane) draws that pass the generator's grazing and in-front tests.
+
+    Yields (d1, d2, dets): each camera's signed distance to the plane and
+    the dets of the affinities that the normalized DLT of the plane's last
+    four points gives at its other ten points.
+    """
+    rng = np.random.default_rng(seed)
+    width, height = IMAGE_SIZE
+    found = 0
+    while found < count:
+        radius = rng.uniform(*SPHERE_RADIUS_RANGE)
+        centers = [radius * v / np.linalg.norm(v) for v in rng.standard_normal((2, 3))]
+        focal = rng.uniform(*FOCAL_RANGE)
+        k = CameraIntrinsics(focal, focal, 0.5 * width, 0.5 * height).matrix()
+        cameras = []
+        for c in centers:
+            r, t = _look_at(c, rng, target=rng.uniform(-0.5, 0.5, 3))
+            cameras.append(k @ np.hstack([r, t[:, None]]))
+        for _ in range(8):
+            normal = rng.standard_normal(3)
+            normal /= np.linalg.norm(normal)
+            center = rng.uniform(0.0, 1.0) * normal
+            d1, d2 = ((c - center) @ normal for c in centers)
+            if min(abs(d) / np.linalg.norm(c - center) for d, c in zip((d1, d2), centers)) < 0.25:
+                continue
+            b1 = np.cross(normal, rng.standard_normal(3))
+            b1 /= np.linalg.norm(b1)
+            b2 = np.cross(normal, b1)
+            uv = rng.uniform(-1.0, 1.0, (14, 2))
+            world = np.hstack([center + uv[:, :1] * b1 + uv[:, 1:] * b2, np.ones((14, 1))])
+            h1, h2 = world @ cameras[0].T, world @ cameras[1].T
+            if min(h1[:, 2].min(), h2[:, 2].min()) < 1e-4:
+                continue
+            img1, img2 = h1[:, :2] / h1[:, 2:], h2[:, :2] / h2[:, 2:]
+            h = _normalized_dlt_homography(img1[-4:], img2[-4:])
+            _, jac = affine_jacobians_of_homography(h, img1[:-4])
+            found += 1
+            yield d1, d2, jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+
+
+def test_opposite_sides_are_exactly_the_mirrored_draws():
+    """The plane-side test of scene generation rejects exactly the draws the det test rejects."""
+    opposite = 0
+    for d1, d2, dets in _visible_plane_draws(2000, seed=1717):
+        assert (d1 * d2 < 0.0) == bool(np.any(dets <= 1e-12))
+        assert np.all(np.sign(dets) == np.sign(d1 * d2))
+        opposite += d1 * d2 < 0.0
+    assert 300 < opposite < 1700  # both sides of the test are exercised
 
 
 class TestAddNoise:
