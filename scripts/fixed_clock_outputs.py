@@ -16,7 +16,8 @@ bytes only). Outputs:
   ransac --fixed-clock on it for f4sift and e3sift, seed 1 (the fixtures
   hold 200 correspondences a pair);
 - bench-dataset --fixed-clock on the mini dataset for the e, f and ff
-  families (ff3sift only: ff6pt RANSAC takes about 16 s a pair);
+  families (ff3sift only: ff6pt RANSAC takes about 6 s a pair on a 2-CPU
+  machine);
 - bench-synthetic stability, focal-stability and noise at small trial counts,
   and ransac-speedup --fixed-clock;
 - solve on the three clean minimal-sample fixtures (e3sift, f4sift, ff3sift),

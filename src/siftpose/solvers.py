@@ -708,21 +708,75 @@ def _same_focal_model(a, b) -> bool:
     return gap <= 1e-4 and abs(a[1] - b[1]) <= 1e-4 * max(a[1], b[1])
 
 
+def _greedy_keep(near: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Order-keeping greedy de-duplication: the mask of the points kept in a scan.
+
+    Point j is kept when it is valid and no *kept* point i < j is near it;
+    near (k, k) holds near[j, i] for the pairs i < j (the rest is ignored).
+    A point with no earlier valid point near is kept outright, one near an
+    earlier point kept outright is dropped outright, and only the others are
+    scanned in order. This is not _first_of_clusters, which drops j when any
+    earlier valid point is near: on a chain a ~ b ~ c with a and c apart,
+    b is dropped, so it no longer shadows c, and this keeps a and c where
+    _first_of_clusters keeps only a. The semi-calibrated core's scans
+    have always used this rule, and the other one would drop its models.
+    """
+    near = near & _earlier(len(valid)) & valid
+    shadowed = near.any(axis=1)
+    keep = valid & ~shadowed
+    undecided = valid & shadowed & ~(near & keep).any(axis=1)
+    for j in np.flatnonzero(undecided):
+        keep[j] = not (near[j] & keep).any()
+    return keep
+
+
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    """v.dot(v) of every vector of a stack (..., d), by the same BLAS dot.
+
+    A stacked (1, d) @ (d, 1) product reaches the dot kernel per vector, so
+    it is bitwise _norm's and np.linalg.norm's square; einsum and a summed
+    product round differently.
+    """
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def _solve_semicalibrated_rows(rows: np.ndarray):
     """Shared back-end of the 3-feature and 6-point focal solvers.
 
     rows constrain F in coordinates where the shared principal point is the
     origin. Solves for F(x, y) in the three-dimensional null space and the
     inverse squared focal length w through the quadratic eigenvalue problem
-    of the trace constraint. Candidate (x, y, w) triples from each root are
-    polished together by one lockstep Gauss-Newton on the trace and
-    determinant rows. In candidate order, a candidate whose start lies
-    within 2e-3 of an accepted polished state is dropped, and a polished one
-    is accepted when its w is above 1e-14 and the residual of its unit-norm
-    F is at most 1e-8. Accepted solutions that are one model
-    (_same_focal_model: the (x, y, w) gauge of the null space plays no
-    part) are merged into the one with the smaller residual. Returns a list
-    of (F 3x3, focal, residual) sorted by residual, at most fifteen entries.
+    of the trace constraint, whose pencil has twenty eigenvalues. The steps,
+    each over arrays in a fixed order:
+
+    - roots: the finite eigenvalues with |Im w| at most 5e-2 max(1, |Re w|)
+      and Re w > 0, in eigenvalue order, kept by a greedy scan
+      (_greedy_keep) that drops a root within 1e-3 max(1, |r|) of a kept
+      root r;
+    - seeds: per root, one SVD of a0 + w a1 + w^2 a2 (all roots in one
+      stacked call) and the demixed (x, y) of its two trailing singular
+      vectors; a seed within 1e-4 (1 + |(x, y)|) of an earlier seed is
+      dropped;
+    - candidates: six (x, y, w) slots per seed in seed order: the root's w,
+      the two ratios of the rank-2 null vector of the seed's (9, 3) stack of
+      quadratics in w (all seeds in one stacked SVD), and the up to three
+      real roots of the shared quadratic; a slot is valid when its triple
+      is finite with w > 0, and a greedy scan drops a valid candidate
+      within 1e-4 (1 + |c_j|) of a kept one;
+    - polish: one lockstep Gauss-Newton over the kept candidates on the
+      trace and determinant rows;
+    - accept: a polished candidate passes when its w is finite and above
+      1e-14, its F(x, y) is nonzero and the residual of the unit-norm F is
+      at most 1e-8; a greedy scan over the passing ones drops a candidate
+      whose start lies within 2e-3 (1 + max|c_j|) in every coordinate of
+      an accepted polished state;
+    - merge: in acceptance order, an accepted solution that is one model
+      with a kept one (_same_focal_model: the (x, y, w) gauge of the null
+      space plays no part) replaces it when its residual is smaller, and is
+      dropped otherwise.
+
+    Returns a list of (F 3x3, focal, residual) sorted by residual, at most
+    fifteen entries.
     """
     basis = nullspace(rows, 3)
     n = [basis[i].reshape(3, 3) for i in range(3)]
@@ -739,83 +793,75 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
     # keep distinct real-ish eigenvalues; near-double roots may surface with a
     # small imaginary part, so the filter here is loose and the residual check
     # after polishing is what decides
-    roots: list[float] = []
-    for w in eigvals:
-        if not np.isfinite(w) or abs(w.imag) > 5e-2 * max(1.0, abs(w.real)):
-            continue
-        if w.real <= 0.0:
-            continue
-        if all(abs(w.real - r) > 1e-3 * max(1.0, abs(r)) for r in roots):
-            roots.append(w.real)
+    finite = eigvals[np.isfinite(eigvals)]
+    real = finite.real
+    roots = real[(np.abs(finite.imag) <= 5e-2 * np.maximum(1.0, np.abs(real))) & (real > 0.0)]
+    # the tolerance is the earlier root's
+    near = np.abs(roots[:, None] - roots) <= 1e-3 * np.maximum(1.0, np.abs(roots))
+    roots = roots[_greedy_keep(near, np.ones(len(roots), dtype=bool))]
+    if not len(roots):
+        return []
 
+    vt = np.linalg.svd(a0 + roots[:, None, None] * a1 + (roots * roots)[:, None, None] * a2)[2]
+    # the demixing and the seed test stay scalar: math.hypot and scalar
+    # powers have no bitwise array counterpart
     seeds: list[tuple[float, float, float]] = []
-    for w in roots:
-        mat = a0 + w * a1 + w * w * a2
-        _, _, vt = np.linalg.svd(mat)
-        for x, y in _demixed_monomial_vectors(vt[-1], vt[-2]):
+    for w, root_vt in zip(roots, vt):
+        for x, y in _demixed_monomial_vectors(root_vt[-1], root_vt[-2]):
             if all(math.hypot(x - sx, y - sy) > 1e-4 * (1.0 + math.hypot(x, y))
                    for sx, sy, _ in seeds):
                 seeds.append((x, y, w))
-
-    candidates: list[np.ndarray] = []
-
-    def push_candidate(x: float, y: float, w: float):
-        cand = np.array([x, y, w])
-        if not np.all(np.isfinite(cand)) or w <= 0.0:
-            return
-        tol = 1e-4 * (1.0 + _norm(cand))
-        if all(_norm(cand - prev) > tol for prev in candidates):
-            candidates.append(cand)
+    if not seeds:
+        return []
+    seeds = np.array(seeds)
 
     # re-solve w from the trace rows at each seed's (x, y); eigenvalues are
     # unreliable when two roots cluster in w
-    null_vectors = []
-    for x, y, _ in seeds:
-        mono = _poly.bivariate_monomials_batch(np.array([[x, y]]))[0]
-        quad = np.stack([m2 @ mono, m1 @ mono, m0 @ mono], axis=1)
-        null_vectors.append(np.linalg.svd(quad)[2])
+    mono = _poly.bivariate_monomials_batch(seeds[:, :2])[:, :, None]
+    qvt = np.linalg.svd(np.concatenate([m2 @ mono, m1 @ mono, m0 @ mono], axis=2))[2]
     # rank-1 stack (all nine quadratics share both roots): the dominant
     # direction carries the shared quadratic's coefficients
     shared, found = real_cubic_roots(
-        np.array([np.append(0.0, qvt[0]) for qvt in null_vectors]).reshape(-1, 4))
-    for (x, y, w), qvt, roots, keep in zip(seeds, null_vectors, shared, found):
-        push_candidate(x, y, w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # rank-2 stack: the null vector is the monomial vector (w^2, w, 1)
-            for w_new in (qvt[-1][1] / qvt[-1][2], qvt[-1][0] / qvt[-1][1]):
-                if np.isfinite(w_new):
-                    push_candidate(x, y, float(w_new))
-        for w_new in roots[keep]:
-            push_candidate(x, y, float(w_new))
-
-    if not candidates:
+        np.concatenate([np.zeros((len(seeds), 1)), qvt[:, 0]], axis=1))
+    slots = np.empty((len(seeds), 6, 3))
+    slots[:, :, :2] = seeds[:, None, :2]
+    slots[:, 0, 2] = seeds[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # rank-2 stack: the null vector is the monomial vector (w^2, w, 1)
+        slots[:, 1, 2] = qvt[:, -1, 1] / qvt[:, -1, 2]
+        slots[:, 2, 2] = qvt[:, -1, 0] / qvt[:, -1, 1]
+        slots[:, 3:, 2] = shared
+        valid = np.isfinite(slots).all(axis=2) & (slots[:, :, 2] > 0.0)
+    valid[:, 3:] &= found
+    raw = slots[valid]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.sqrt(_squared_norms(raw[:, None] - raw))
+        near = ~(dist > 1e-4 * (1.0 + np.sqrt(_squared_norms(raw)))[:, None])
+    candidates = raw[_greedy_keep(near, np.ones(len(raw), dtype=bool))]
+    if not len(candidates):
         return []
+
     system = np.broadcast_to(np.hstack([a0, a1, a2]), (len(candidates), 10, 30))
-    polished, residuals = _polish_batch(system, np.array(candidates),
-                                        _poly.SEMICALIBRATED_BASIS, 14)
-    solutions: list[np.ndarray] = []
+    polished, residuals = _polish_batch(system, candidates, _poly.SEMICALIBRATED_BASIS, 14)
+    x, y, w = polished.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = x[:, None, None] * n[0] + y[:, None, None] * n[1] + n[2]
+        norms = np.sqrt(_squared_norms(f.reshape(-1, 9)))
+        passing = np.isfinite(w) & (w > 1e-14) & (norms != 0.0)
+        # residual of the unit-norm F: the constraint is cubic in F; the
+        # cube is a scalar power, which numpy's array power rounds otherwise
+        res_size = np.zeros(len(candidates))
+        res_size[passing] = residuals[passing] / np.array([v ** 3 for v in norms[passing]])
+        passing &= ~(res_size > 1e-8)
+        start_gap = np.abs(candidates[:, None] - polished).max(axis=2)
+        near = start_gap < 2e-3 * (1.0 + np.abs(candidates).max(axis=1))[:, None]
     results: list = []
-    for cand, sol, res in zip(candidates, polished, residuals.tolist()):
-        if any(float(np.abs(cand - prev).max()) < 2e-3 * (1.0 + float(np.abs(cand).max()))
-               for prev in solutions):
-            continue
-        x, y, w = sol
-        if not (np.isfinite(w) and w > 1e-14):
-            continue
-        f = x * n[0] + y * n[1] + n[2]
-        norm = np.linalg.norm(f)
-        if norm == 0.0:
-            continue
-        # residual of the unit-norm F: the constraint is cubic in F
-        res_size = res / norm ** 3
-        if res_size > 1e-8:
-            continue
-        solutions.append(sol)
-        model = (f / norm, 1.0 / math.sqrt(w), res_size)
+    for j in np.flatnonzero(_greedy_keep(near, passing)):
+        model = (f[j] / norms[j], 1.0 / math.sqrt(w[j]), res_size[j])
         same = next((k for k, kept in enumerate(results) if _same_focal_model(kept, model)), None)
         if same is None:
             results.append(model)
-        elif res_size < results[same][2]:
+        elif model[2] < results[same][2]:
             results[same] = model
 
     results.sort(key=lambda item: item[2])
@@ -825,8 +871,12 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
 def _semicalibrated_batch(rows: np.ndarray) -> list:
     """Semi-calibrated core over samples (batch, r, 9), one sample at a time.
 
-    Raw models are (F, focal) pairs in the frame; a sample without a real
-    positive-focal solution is refused with NoValidFocalError.
+    Each sample runs _solve_semicalibrated_rows, whose roots, seeds,
+    candidates and accepted solutions are arrays with greedy order-keeping
+    scans; only the samples are a Python loop. Raw models are (F, focal)
+    pairs in the frame, in ascending residual order; a sample without a
+    real positive-focal solution is refused with NoValidFocalError, and a
+    sample the null-space step refuses keeps that refusal.
     """
     out: list = []
     for sample in rows:

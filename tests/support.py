@@ -3,12 +3,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from siftpose import _poly
 from siftpose.constraints import circle_compatible_angles
 from siftpose.errors import DegenerateSampleError, IllConditionedSampleError, ParseError
 from siftpose.fileio import BENCHMARK_COLUMNS, BenchmarkRow
-from siftpose.solvers import nullspace
+from siftpose.solvers import (
+    _demixed_monomial_vectors,
+    _norm,
+    _polish_batch,
+    _same_focal_model,
+    nullspace,
+    real_cubic_roots,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -301,6 +309,124 @@ def scalar_e3sift_start(rows: np.ndarray):
         # basis vectors are orthonormal, so the combination's norm is direct
         res = np.einsum("gi,gi->g", r, r) / (np.einsum("gi,gi->g", grid, grid) + 1.0) ** 3
     return pencil, system, y, grid[np.argmin(np.where(np.isnan(res), np.inf, res))]
+
+
+def scalar_semicalibrated_rows(rows: np.ndarray):
+    """The semi-calibrated core on one sample, candidate by candidate in Python.
+
+    The reference for the array scans of solvers._solve_semicalibrated_rows,
+    kept as that function was before them: each candidate is checked
+    against every earlier one in a Python loop.
+
+    rows constrain F in coordinates where the shared principal point is the
+    origin. Solves for F(x, y) in the three-dimensional null space and the
+    inverse squared focal length w through the quadratic eigenvalue problem
+    of the trace constraint. Candidate (x, y, w) triples from each root are
+    polished together by one lockstep Gauss-Newton on the trace and
+    determinant rows. In candidate order, a candidate whose start lies
+    within 2e-3 of an accepted polished state is dropped, and a polished one
+    is accepted when its w is above 1e-14 and the residual of its unit-norm
+    F is at most 1e-8. Accepted solutions that are one model
+    (_same_focal_model: the (x, y, w) gauge of the null space plays no
+    part) are merged into the one with the smaller residual. Returns a list
+    of (F 3x3, focal, residual) sorted by residual, at most fifteen entries.
+    """
+    basis = nullspace(rows, 3)
+    n = [basis[i].reshape(3, 3) for i in range(3)]
+    m0, m1, m2, det_row = _poly.semicalibrated_constraint_system(n)
+
+    a0 = np.vstack([m0, det_row])
+    a1 = np.vstack([m1, np.zeros(10)])
+    a2 = np.vstack([m2, np.zeros(10)])
+    pencil_a = np.block([[np.zeros((10, 10)), np.eye(10)], [a0, a1]])
+    pencil_b = np.block([[np.eye(10), np.zeros((10, 10))],
+                         [np.zeros((10, 10)), -a2]])
+    eigvals = scipy.linalg.eigvals(pencil_a, pencil_b)
+
+    # keep distinct real-ish eigenvalues; near-double roots may surface with a
+    # small imaginary part, so the filter here is loose and the residual check
+    # after polishing is what decides
+    roots: list[float] = []
+    for w in eigvals:
+        if not np.isfinite(w) or abs(w.imag) > 5e-2 * max(1.0, abs(w.real)):
+            continue
+        if w.real <= 0.0:
+            continue
+        if all(abs(w.real - r) > 1e-3 * max(1.0, abs(r)) for r in roots):
+            roots.append(w.real)
+
+    seeds: list[tuple[float, float, float]] = []
+    for w in roots:
+        mat = a0 + w * a1 + w * w * a2
+        _, _, vt = np.linalg.svd(mat)
+        for x, y in _demixed_monomial_vectors(vt[-1], vt[-2]):
+            if all(math.hypot(x - sx, y - sy) > 1e-4 * (1.0 + math.hypot(x, y))
+                   for sx, sy, _ in seeds):
+                seeds.append((x, y, w))
+
+    candidates: list[np.ndarray] = []
+
+    def push_candidate(x: float, y: float, w: float):
+        cand = np.array([x, y, w])
+        if not np.all(np.isfinite(cand)) or w <= 0.0:
+            return
+        tol = 1e-4 * (1.0 + _norm(cand))
+        if all(_norm(cand - prev) > tol for prev in candidates):
+            candidates.append(cand)
+
+    # re-solve w from the trace rows at each seed's (x, y); eigenvalues are
+    # unreliable when two roots cluster in w
+    null_vectors = []
+    for x, y, _ in seeds:
+        mono = _poly.bivariate_monomials_batch(np.array([[x, y]]))[0]
+        quad = np.stack([m2 @ mono, m1 @ mono, m0 @ mono], axis=1)
+        null_vectors.append(np.linalg.svd(quad)[2])
+    # rank-1 stack (all nine quadratics share both roots): the dominant
+    # direction carries the shared quadratic's coefficients
+    shared, found = real_cubic_roots(
+        np.array([np.append(0.0, qvt[0]) for qvt in null_vectors]).reshape(-1, 4))
+    for (x, y, w), qvt, roots, keep in zip(seeds, null_vectors, shared, found):
+        push_candidate(x, y, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # rank-2 stack: the null vector is the monomial vector (w^2, w, 1)
+            for w_new in (qvt[-1][1] / qvt[-1][2], qvt[-1][0] / qvt[-1][1]):
+                if np.isfinite(w_new):
+                    push_candidate(x, y, float(w_new))
+        for w_new in roots[keep]:
+            push_candidate(x, y, float(w_new))
+
+    if not candidates:
+        return []
+    system = np.broadcast_to(np.hstack([a0, a1, a2]), (len(candidates), 10, 30))
+    polished, residuals = _polish_batch(system, np.array(candidates),
+                                        _poly.SEMICALIBRATED_BASIS, 14)
+    solutions: list[np.ndarray] = []
+    results: list = []
+    for cand, sol, res in zip(candidates, polished, residuals.tolist()):
+        if any(float(np.abs(cand - prev).max()) < 2e-3 * (1.0 + float(np.abs(cand).max()))
+               for prev in solutions):
+            continue
+        x, y, w = sol
+        if not (np.isfinite(w) and w > 1e-14):
+            continue
+        f = x * n[0] + y * n[1] + n[2]
+        norm = np.linalg.norm(f)
+        if norm == 0.0:
+            continue
+        # residual of the unit-norm F: the constraint is cubic in F
+        res_size = res / norm ** 3
+        if res_size > 1e-8:
+            continue
+        solutions.append(sol)
+        model = (f / norm, 1.0 / math.sqrt(w), res_size)
+        same = next((k for k, kept in enumerate(results) if _same_focal_model(kept, model)), None)
+        if same is None:
+            results.append(model)
+        elif res_size < results[same][2]:
+            results[same] = model
+
+    results.sort(key=lambda item: item[2])
+    return results[:15]
 
 
 def read_solutions(path) -> tuple[str, list[dict]]:

@@ -17,6 +17,8 @@ from siftpose import _poly
 from siftpose.solvers import (
     _E3SIFT_REFUSALS,
     _e3sift_front,
+    _first_of_clusters,
+    _greedy_keep,
     _monomial_solve,
     _polish_batch,
     frame_rows,
@@ -39,7 +41,12 @@ from siftpose.robust import make_problem
 from siftpose.synthetic import SyntheticConfig, add_noise, generate_scene
 
 from conftest import spanning_indices
-from support import essential_residual, scalar_cubic_roots, scalar_e3sift_start
+from support import (
+    essential_residual,
+    scalar_cubic_roots,
+    scalar_e3sift_start,
+    scalar_semicalibrated_rows,
+)
 
 
 def matrix_gap(model, truth):
@@ -679,6 +686,82 @@ class TestDistinctModels:
                 for j in range(i):
                     assert not self._coincide(models[i], models[j]), (draw, i, j)
         assert checked >= 390
+
+
+class TestSemicalibratedScans:
+    """The semi-calibrated core's array scans against its candidate-by-candidate form."""
+
+    @staticmethod
+    def _rows(scenes, solver_id, count):
+        """Core rows of count samples in the solver's frame.
+
+        Plane-balanced draws, every other one from a scene with 0.5 px
+        noise and every eighth with a correspondence repeated; then
+        ff3sift's ridge draws 1082, 1355 and 1482 as TestDistinctModels
+        makes them.
+        """
+        info = solver_info(solver_id)
+        rng = np.random.default_rng(47)
+        noisy = [add_noise(scene, 0.5, rng) for scene in scenes]
+        draws = []
+        for i in range(count - 3):
+            scene = (scenes, noisy)[i % 2][i % len(scenes)]
+            idx = spanning_indices(scene, info.sample_size, rng)
+            if i % 8 == 7:
+                idx[1] = idx[0]
+            draws.append((scene, idx))
+        for draw in (1082, 1355, 1482):
+            scene = scenes[draw % len(scenes)]
+            draws.append((scene, spanning_indices(scene, info.sample_size,
+                                                  np.random.default_rng(draw))))
+        return [info.rows(*frame_rows(info, scene.correspondences[idx], scene.k1, scene.k2,
+                                      scene.principal_point)[2:])
+                for scene, idx in draws]
+
+    @staticmethod
+    def _outcome(solve, rows):
+        try:
+            return [(f.tobytes(), focal, res) for f, focal, res in solve(rows)]
+        except SolverError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("solver_id", ["ff3sift", "ff6pt"])
+    def test_core_matches_the_scalar_reference(self, scenes, solver_id):
+        # bitwise: the same (F, focal, residual) list in the same order, or
+        # the same refusal
+        outcomes = []
+        for i, rows in enumerate(self._rows(scenes, solver_id, 520)):
+            expected = self._outcome(scalar_semicalibrated_rows, rows)
+            assert self._outcome(solvers_module._solve_semicalibrated_rows, rows) == expected, i
+            outcomes.append(expected)
+        solved = [out for out in outcomes if isinstance(out, list)]
+        assert len(solved) >= 400 and max(map(len, solved)) >= 3
+        assert any(isinstance(out, tuple) for out in outcomes)
+
+    def test_greedy_keep_is_not_first_of_clusters(self):
+        # a ~ b and b ~ c but not a ~ c: the scan drops b, so c is kept;
+        # _first_of_clusters drops c for its near earlier (valid) point b
+        points = np.array([0.0, 0.6, 1.2])
+        near = np.abs(points[:, None] - points) <= 0.4 * (1.0 + np.abs(points))[:, None]
+        assert near[1, 0] and near[2, 1] and not near[2, 0]
+        valid = np.ones(3, dtype=bool)
+        assert _greedy_keep(near, valid).tolist() == [True, False, True]
+        assert _first_of_clusters(points[None, :, None], valid[None], 0.4).tolist() == [
+            [True, False, False]]
+        # an invalid point shadows nothing
+        assert _greedy_keep(near, np.array([False, True, True])).tolist() == [False, True, False]
+
+    def test_greedy_keep_matches_a_sequential_scan(self):
+        rng = np.random.default_rng(48)
+        for _ in range(500):
+            k = int(rng.integers(0, 14))
+            near = rng.random((k, k)) < rng.uniform(0.05, 0.6)
+            valid = rng.random(k) < 0.8
+            kept = []
+            for j in range(k):
+                if valid[j] and not any(near[j, i] for i in kept if i < j):
+                    kept.append(j)
+            assert np.flatnonzero(_greedy_keep(near, valid)).tolist() == kept
 
 
 class TestDispatch:
