@@ -20,8 +20,8 @@ solver, each interleaved the same way:
   blocks of 16 (RANSAC's block size; the last block wraps round to the
   first samples), and every round runs each copy's solvers.solve_rows once
   per block, alternating from block to block which copy goes first. That
-  is the path RANSAC runs: the solver's row layout, the non-finite screen
-  and the batched core.
+  is the path RANSAC runs: the solver's row layout, the non-finite screen,
+  the batched SVD of the rows with its rank screen, and the batched core.
 
 Prints, per solver and timing: the median and mean time of each copy in ms
 (per sample for blocks: the block time over 16), the ratio of the medians

@@ -144,12 +144,13 @@ def _epipolar_errors(p1h: np.ndarray, p2h: np.ndarray, stack: np.ndarray) -> np.
 class _EpipolarProblem:
     """Set-up, minimal solves, scoring and finalizing shared by the adapters.
 
-    A subclass sets `min_lo_inliers` and its refit. The solver's registry
-    entry fixes the preconditioning: solvers.frame_rows carries the data
-    into its frame once and builds the constraint rows there. The frame
-    gives `threshold_factor` (its scale: frame units per pixel of epipolar
-    error) and maps the best raw model back out at finalize. Scoring is the
-    symmetric epipolar error on the frame's `pairs`.
+    A subclass sets `min_lo_inliers` and may replace the eight-point refit.
+    The solver's registry entry fixes the preconditioning:
+    solvers.frame_rows carries the data into its frame once and builds the
+    constraint rows there. The frame gives `threshold_factor` (its scale:
+    frame units per pixel of epipolar error) and maps the best raw model
+    back out at finalize. Scoring is the symmetric epipolar error on the
+    frame's `pairs`.
     """
 
     min_lo_inliers: int
@@ -187,6 +188,10 @@ class _EpipolarProblem:
         return _epipolar_errors(self.p1h, self.p2h,
                                 np.stack([_as_matrix(model) for model in models]))
 
+    def refit(self, inlier_idx):
+        """Least-squares eight-point F of the inliers' frame pairs (at least 8)."""
+        return solve_f_8pt(self.pairs[inlier_idx]).m
+
     def finalize(self, model):
         return self.frame.model(model)
 
@@ -200,11 +205,6 @@ class FundamentalProblem(_EpipolarProblem):
 
     min_lo_inliers = 8
 
-    def refit(self, model, inlier_idx):
-        if inlier_idx.shape[0] < self.min_lo_inliers:
-            return None
-        return solve_f_8pt(self.pairs[inlier_idx]).m
-
 
 class EssentialProblem(_EpipolarProblem):
     """Calibrated estimation in normalized coordinates; e3sift or e5pt plug-in.
@@ -215,14 +215,13 @@ class EssentialProblem(_EpipolarProblem):
 
     min_lo_inliers = 6
 
-    def refit(self, model, inlier_idx):
+    def refit(self, inlier_idx):
         # raw least-squares fit; scoring keeps the raw output and the manifold
         # projection happens once at finalize (a projected fit falls out of
-        # the tight inlier band even when the underlying geometry is right)
-        if inlier_idx.shape[0] < self.min_lo_inliers:
-            return None
+        # the tight inlier band even when the underlying geometry is right);
+        # below eight inliers, the unit null vector of their point rows
         if inlier_idx.shape[0] >= 8:
-            return solve_f_8pt(self.pairs[inlier_idx]).m
+            return super().refit(inlier_idx)
         _, _, vt = np.linalg.svd(self.point_rows[inlier_idx])
         return vt[-1].reshape(3, 3)
 
@@ -241,7 +240,7 @@ class FocalProblem(_EpipolarProblem):
 
     min_lo_inliers = 8
 
-    def refit(self, model, inlier_idx):
+    def refit(self, inlier_idx):
         return None
 
 
@@ -273,15 +272,13 @@ def local_optimize(problem, model, inliers: np.ndarray, threshold: float):
     if current.shape[0] < problem.min_lo_inliers:
         return model, best_score, best_inliers, 0, [best_score], "insufficient inliers"
     best_model = model
-    fit_model = model
     history = [best_score]
     rounds = 0
-    previous = None
     for round_idx in range(LO_MAX_ROUNDS):
         if current.shape[0] < problem.min_lo_inliers:
             break
         try:
-            refined = problem.refit(fit_model, current)
+            refined = problem.refit(current)
         except (SolverError, ValueError):
             break
         if refined is None:
@@ -294,12 +291,11 @@ def local_optimize(problem, model, inliers: np.ndarray, threshold: float):
             best_model = refined
             best_inliers = strict_inliers
         history.append(best_score)
-        fit_model = refined
         boost = max(1.0, LO_THRESHOLD_BOOST * 0.5 ** (round_idx + 1))
         collected = np.nonzero(errors < boost * threshold)[0]
-        if previous is not None and boost == 1.0 and np.array_equal(collected, previous):
+        # a fixpoint: the refit re-collects the set it was fitted to
+        if boost == 1.0 and np.array_equal(collected, current):
             break
-        previous = collected
         current = collected
     return best_model, best_score, best_inliers, rounds, history, None
 
@@ -328,60 +324,46 @@ def ransac(problem, config: RansacConfig = RansacConfig()) -> RansacReport:
     needed = config.max_iterations
 
     block_size = 16
-    queue: list = []
-
-    def refill():
-        # draw, solve and score a whole block at once; the loop below
-        # consumes it sample by sample, in draw order
+    while iterations < min(needed, config.max_iterations):
+        # draw, solve and score a whole block at once, then take its samples
+        # in draw order until the stop condition holds
         keys = rng.random((block_size, n))
         draws = np.argpartition(keys, min(m, n - 1), axis=1)[:, :m]
         usable = ~degenerate_draws(problem.pixel_pairs, draws, problem.info.collinear_degenerate)
         solved = [[] for _ in range(block_size)]
-        if np.any(usable):
+        if usable.any():
             block = problem.solve_minimal_batch(draws[usable])
             for slot, models in zip(np.nonzero(usable)[0], block):
                 solved[slot] = models
         flat = [model for models in solved for model in models]
-        if not flat:
-            queue.extend([None] * block_size)
-            return
-        scores, masks = score_msac(problem.block_errors(flat), threshold)
-        counts = np.count_nonzero(masks, axis=1)
-        entries = []
-        start = 0
+        if flat:
+            scores, masks = score_msac(problem.block_errors(flat), threshold)
+            counts = np.count_nonzero(masks, axis=1)
+        offset = 0
         for models in solved:
-            stop = start + len(models)
-            entries.append((models, scores[start:stop], counts[start:stop],
-                            masks[start:stop]) if models else None)
-            start = stop
-        queue.extend(entries[::-1])
-
-    while iterations < min(needed, config.max_iterations):
-        iterations += 1
-        if not queue:
-            refill()
-        entry = queue.pop()
-        if entry is None:
-            continue
-        improved = False
-        for model, score, count, mask in zip(*entry):
-            models_scored += 1
-            if score < best_score and count >= m:
-                best_model, best_score = model, float(score)
-                best_inliers = np.nonzero(mask)[0]
-                improved = True
-        if improved and config.lo_enabled:
-            lo_model, lo_score, lo_inliers, rounds, _, warn = local_optimize(
-                problem, best_model, best_inliers, threshold)
-            models_scored += rounds
-            lo_rounds_total += rounds
-            if warn and warn not in warnings:
-                warnings.append(warn)
-            if lo_score < best_score:
-                best_model, best_score, best_inliers = lo_model, lo_score, lo_inliers
-        if improved:
-            ratio = best_inliers.shape[0] / n
-            needed = required_iterations(ratio, m, config.confidence)
+            if iterations >= min(needed, config.max_iterations):
+                break
+            iterations += 1
+            improved = False
+            for j in range(offset, offset + len(models)):
+                models_scored += 1
+                if scores[j] < best_score and counts[j] >= m:
+                    best_model, best_score = flat[j], float(scores[j])
+                    best_inliers = np.nonzero(masks[j])[0]
+                    improved = True
+            offset += len(models)
+            if not improved:
+                continue
+            if config.lo_enabled:
+                lo_model, lo_score, lo_inliers, rounds, _, warn = local_optimize(
+                    problem, best_model, best_inliers, threshold)
+                models_scored += rounds
+                lo_rounds_total += rounds
+                if warn and warn not in warnings:
+                    warnings.append(warn)
+                if lo_score < best_score:
+                    best_model, best_score, best_inliers = lo_model, lo_score, lo_inliers
+            needed = required_iterations(best_inliers.shape[0] / n, m, config.confidence)
 
     wall = time.perf_counter() - start
     if best_model is None:

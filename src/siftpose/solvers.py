@@ -22,7 +22,6 @@ from .errors import (
     DegenerateSampleError,
     IllConditionedSampleError,
     NoValidFocalError,
-    SolverError,
 )
 from .geometry import (
     CameraIntrinsics,
@@ -87,21 +86,6 @@ def normalize_sift_correspondences(corr, k1, k2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Shared numerics
 # ---------------------------------------------------------------------------
-
-def nullspace(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Trailing right singular vectors spanning an expected null space.
-
-    Raises DegenerateSampleError when the system has more than ``dim``
-    near-zero directions relative to the largest singular value.
-    """
-    rows = np.asarray(rows, dtype=float)
-    _, s, vt = np.linalg.svd(rows)
-    kept = rows.shape[1] - dim
-    if kept > 0 and (s[0] == 0.0 or (len(s) >= kept and s[kept - 1] < DEGENERACY_RTOL * s[0])):
-        raise DegenerateSampleError(
-            f"constraint system rank below {kept}; sample does not determine the model")
-    return vt[rows.shape[1] - dim:]
-
 
 def _norm(v: np.ndarray) -> float:
     """np.linalg.norm of a real vector by the same operations, without its dispatch."""
@@ -336,32 +320,28 @@ def _batched_adjugate(m: np.ndarray) -> np.ndarray:
     return f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
 
 
-def rank2_candidates_batch(rows: np.ndarray) -> list:
-    """All rank-2 matrices in the two-dimensional null space of each 7x9 system.
+def rank2_candidates_batch(basis: np.ndarray) -> list:
+    """All rank-2 matrices spanned by each null-space basis (batch, 2, 9) of a 7x9 system.
 
-    rows has shape (batch, 7, 9). The rank-2 condition det(a + mu b) = 0 on
-    the pencil of the two trailing singular vectors is one cubic in mu per
-    sample, all solved at once by real_cubic_roots. Returns one list of raw
-    3x3 matrices per sample, in root order. A list is empty where the sample
-    does not determine the model: the system is rank-deficient (all-zero
-    rows included), every pencil member is rank-deficient (a dominant-plane
-    sample), or the rank-2 cubic has no real root.
+    The rank-2 condition det(a + mu b) = 0 on the pencil of the two basis
+    vectors is one cubic in mu per sample, all solved at once by
+    real_cubic_roots. Returns one list of raw 3x3 matrices per sample, in
+    root order. A list is empty where the sample does not determine the
+    model: every pencil member is rank-deficient (a dominant-plane sample),
+    or the rank-2 cubic has no real root.
     """
-    rows = np.asarray(rows, dtype=float)
-    _, s, vt = np.linalg.svd(rows)
-    good = (s[:, 0] > 0.0) & (s[:, 6] >= DEGENERACY_RTOL * s[:, 0])
-    f1 = vt[:, 7].reshape(-1, 3, 3)
-    f2 = vt[:, 8].reshape(-1, 3, 3)
+    f1 = basis[:, 0].reshape(-1, 3, 3)
+    f2 = basis[:, 1].reshape(-1, 3, 3)
     a, b = f2, f1 - f2
     # det(a + mu b) = c3 mu^3 + c2 mu^2 + c1 mu + c0
-    coeffs = np.empty((rows.shape[0], 4))
+    coeffs = np.empty((basis.shape[0], 4))
     coeffs[:, 0] = np.linalg.det(b)
     coeffs[:, 1] = np.einsum("nij,nji->n", _batched_adjugate(b), a)
     coeffs[:, 2] = np.einsum("nij,nji->n", _batched_adjugate(a), b)
     coeffs[:, 3] = np.linalg.det(a)
     vacuous = np.abs(coeffs).max(axis=1) < 1e-10
     roots, found = real_cubic_roots(coeffs)
-    found &= (good & ~vacuous)[:, None]
+    found &= ~vacuous[:, None]
     models = a[:, None] + roots[:, :, None, None] * b[:, None]
     return [list(m[keep]) for m, keep in zip(models, found)]
 
@@ -387,8 +367,8 @@ def _first_of_clusters(points: np.ndarray, valid: np.ndarray, rtol: float) -> np
     return valid & ~np.logical_or.reduce(near, axis=2)
 
 
-def essential_candidates_batch(rows: np.ndarray) -> tuple[list, np.ndarray]:
-    """Five-point core over samples: rows has shape (batch, 5, 9).
+def essential_candidates_batch(basis: np.ndarray) -> tuple[list, np.ndarray]:
+    """Five-point core over samples: basis (batch, 4, 9) spans each 5x9 system's null space.
 
     The four-dimensional null space combination E = x P0 + y P1 + z P2 + P3
     feeds the ten trace and determinant equations; an action matrix over the
@@ -406,26 +386,23 @@ def essential_candidates_batch(rows: np.ndarray) -> tuple[list, np.ndarray]:
       1e-7 (1 + |c|) of an earlier uncut root of its sample is dropped.
 
     Returns (models, solvable): one list of raw essential matrices per
-    sample, in eigenvalue order, and a mask that is False where the system
-    is rank-deficient or its leading monomial block is singular. A solvable
-    sample may still keep no candidate.
+    sample, in eigenvalue order, and a mask that is False where the leading
+    monomial block is singular. A solvable sample may still keep no
+    candidate.
     """
-    rows = np.asarray(rows, dtype=float)
-    batch = rows.shape[0]
-    _, s, vt = np.linalg.svd(rows)
-    good = (s[:, 0] > 0.0) & (s[:, 4] >= DEGENERACY_RTOL * s[:, 0])
-    pencil = vt[:, 5:9].reshape(batch, 4, 3, 3)
+    batch = basis.shape[0]
+    pencil = basis.reshape(batch, 4, 3, 3)
 
     system = _poly.essential_constraint_system(pencil, _poly.TRIVARIATE)
     lead, rest = system[:, :, :10], system[:, :, 10:]
-    reduced = np.full_like(rest, np.nan)
-    solvable = good.copy()
+    solvable = np.ones(batch, dtype=bool)
     try:
-        reduced[good] = np.linalg.solve(lead[good], rest[good])
+        reduced = np.linalg.solve(lead, rest)
     except np.linalg.LinAlgError:
         # the solve fails on an exactly zero LU pivot, which slogdet reports
         # as sign 0 from the same factorization
-        solvable &= np.linalg.slogdet(lead)[0] != 0.0
+        solvable = np.linalg.slogdet(lead)[0] != 0.0
+        reduced = np.full_like(rest, np.nan)
         reduced[solvable] = np.linalg.solve(lead[solvable], rest[solvable])
 
     action = np.zeros((batch, 10, 10))
@@ -470,11 +447,11 @@ def essential_candidates_batch(rows: np.ndarray) -> tuple[list, np.ndarray]:
 # Fundamental matrix solvers
 # ---------------------------------------------------------------------------
 
-def _rank2_core(rows: np.ndarray) -> list:
+def _rank2_core(basis: np.ndarray) -> list:
     """rank2_candidates_batch per sample, refusing the samples without a model."""
     return [models if models else DegenerateSampleError(
-        "sample does not determine a rank-2 model: rank-deficient system, "
-        "vacuous rank-2 condition or no real root") for models in rank2_candidates_batch(rows)]
+        "sample does not determine a rank-2 model: vacuous rank-2 condition or no real root")
+        for models in rank2_candidates_batch(basis)]
 
 
 def solve_f_7pt(pairs) -> SolverOutput:
@@ -524,8 +501,6 @@ _PICK_CUBE_ROOTS = [1, 5]
 # one factory per refusal code of _e3sift_front, in the order it tests them
 _E3SIFT_REFUSALS = (
     None,
-    functools.partial(DegenerateSampleError,
-                      "constraint system rank below 6; sample does not determine the model"),
     functools.partial(IllConditionedSampleError, "monomial system numerically rank-deficient"),
     functools.partial(IllConditionedSampleError,
                       "no finite candidate for the null-space coefficients"),
@@ -548,19 +523,17 @@ def _monomial_solve(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.swapaxes(vt, 1, 2) @ coeffs[:, :, None])[..., 0], conditioned
 
 
-def _e3sift_front(rows: np.ndarray):
-    """Null space, constraint system and Gauss-Newton start of e3sift samples (batch, 6, 9).
+def _e3sift_front(basis: np.ndarray):
+    """Constraint system and Gauss-Newton start of e3sift null spaces (batch, 3, 9).
 
-    Every row entry must be finite (solve_rows refuses the other samples).
     Returns the null-space pencils (batch, 3, 3, 3), the constraint systems
     (batch, 10, 10), the starts (alpha, beta) (batch, 2) and a refusal code
     per sample (batch,): 0 where the sample is solved, else the index into
     _E3SIFT_REFUSALS of the first refusal that applies (see
     essential_3sift_batch). A refused sample's start is 0.
     """
-    batch = rows.shape[0]
-    _, s, vt = np.linalg.svd(rows)
-    pencil = vt[:, 6:].reshape(batch, 3, 3, 3)
+    batch = basis.shape[0]
+    pencil = basis.reshape(batch, 3, 3, 3)
     system = _poly.essential_constraint_system(pencil, _poly.BIVARIATE)
     y, conditioned = _monomial_solve(system)
 
@@ -590,29 +563,25 @@ def _e3sift_front(rows: np.ndarray):
     starts = grid[np.arange(batch), best]
 
     code = np.zeros(batch, dtype=np.intp)
-    code[~valid.any(axis=1)] = 3
-    code[~conditioned] = 2
-    code[(s[:, 0] == 0.0) | (s[:, 5] < DEGENERACY_RTOL * s[:, 0])] = 1
+    code[~valid.any(axis=1)] = 2
+    code[~conditioned] = 1
     starts[code != 0] = 0.0
     return pencil, system, starts, code
 
 
-def essential_3sift_batch(rows: np.ndarray) -> list:
-    """Core of the three-correspondence essential solver over samples (batch, 6, 9).
+def essential_3sift_batch(basis: np.ndarray) -> list:
+    """Core of the three-correspondence essential solver over null spaces (batch, 3, 9).
 
-    Each sample's rows are the stacked constraints in calibrated
-    coordinates, all finite (solve_rows refuses the other samples). Its
-    three-dimensional null-space pencil (n1, n2, n3) is substituted into
-    the trace and determinant constraints, giving ten equations solved in
-    least squares over the monomial vector y = [a3 b3 a2b ab2 a2 b2 ab a b].
+    Each sample's basis (n1, n2, n3) spans the null space of its six
+    constraint rows in calibrated coordinates. The pencil is substituted
+    into the trace and determinant constraints, giving ten equations solved
+    in least squares over the monomial vector y = [a3 b3 a2b ab2 a2 b2 ab a b].
     Everything runs as array operations over the samples. A sample is
     refused by the first rule that applies:
 
-    1. its rows have rank below 6 (the sixth singular value below
-       DEGENERACY_RTOL of the first, or all zero): DegenerateSampleError;
-    2. the monomial system's smallest singular value is below 1e-12 of its
+    1. the monomial system's smallest singular value is below 1e-12 of its
        largest, or all vanish: IllConditionedSampleError;
-    3. no alpha or no beta candidate is finite: IllConditionedSampleError.
+    2. no alpha or no beta candidate is finite: IllConditionedSampleError.
 
     The candidates are alpha in (y7, cbrt y0, y6/y8, y4/y7) and beta in
     (y8, cbrt y1, y6/y7, y5/y8), the non-finite ones dropped. Over their
@@ -623,7 +592,7 @@ def essential_3sift_batch(rows: np.ndarray) -> list:
     Returns one entry per sample: [raw 3x3 matrix alpha n1 + beta n2 + n3],
     or the exception that refused the sample.
     """
-    pencil, system, states, code = _e3sift_front(rows)
+    pencil, system, states, code = _e3sift_front(basis)
     solved = code == 0
     if solved.any():
         states[solved], _ = _polish_batch(system[solved], states[solved],
@@ -633,12 +602,12 @@ def essential_3sift_batch(rows: np.ndarray) -> list:
     return [[m] if c == 0 else _E3SIFT_REFUSALS[c]() for m, c in zip(models, code.tolist())]
 
 
-def _five_point_core(rows: np.ndarray) -> list:
+def _five_point_core(basis: np.ndarray) -> list:
     """essential_candidates_batch per sample, refusing the unsolvable ones."""
-    models, solvable = essential_candidates_batch(rows)
+    models, solvable = essential_candidates_batch(basis)
     return [found if ok else DegenerateSampleError(
-        "constraint system rank-deficient or leading monomial block singular; "
-        "sample does not determine the model") for found, ok in zip(models, solvable)]
+        "leading monomial block singular; sample does not determine the model")
+        for found, ok in zip(models, solvable)]
 
 
 def solve_e_3sift(corr, k1, k2) -> SolverOutput:
@@ -740,13 +709,14 @@ def _squared_norms(v: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _solve_semicalibrated_rows(rows: np.ndarray):
+def _solve_semicalibrated(basis: np.ndarray):
     """Shared back-end of the 3-feature and 6-point focal solvers.
 
-    rows constrain F in coordinates where the shared principal point is the
-    origin. Solves for F(x, y) in the three-dimensional null space and the
-    inverse squared focal length w through the quadratic eigenvalue problem
-    of the trace constraint, whose pencil has twenty eigenvalues. The steps,
+    basis (3, 9) spans the null space of the rows that constrain F in
+    coordinates where the shared principal point is the origin. Solves for
+    F(x, y) = x n1 + y n2 + n3 and the inverse squared focal length w
+    through the quadratic eigenvalue problem of the trace constraint, whose
+    pencil has twenty eigenvalues. The steps,
     each over arrays in a fixed order:
 
     - roots: the finite eigenvalues with |Im w| at most 5e-2 max(1, |Re w|)
@@ -778,7 +748,6 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
     Returns a list of (F 3x3, focal, residual) sorted by residual, at most
     fifteen entries.
     """
-    basis = nullspace(rows, 3)
     n = [basis[i].reshape(3, 3) for i in range(3)]
     m0, m1, m2, det_row = _poly.semicalibrated_constraint_system(n)
 
@@ -868,21 +837,21 @@ def _solve_semicalibrated_rows(rows: np.ndarray):
     return results[:15]
 
 
-def _semicalibrated_batch(rows: np.ndarray) -> list:
-    """Semi-calibrated core over samples (batch, r, 9), one sample at a time.
+def _semicalibrated_batch(bases: np.ndarray) -> list:
+    """Semi-calibrated core over stacked null spaces (batch, 3, 9), one sample at a time.
 
-    Each sample runs _solve_semicalibrated_rows, whose roots, seeds,
+    Each sample runs _solve_semicalibrated, whose roots, seeds,
     candidates and accepted solutions are arrays with greedy order-keeping
     scans; only the samples are a Python loop. Raw models are (F, focal)
     pairs in the frame, in ascending residual order; a sample without a
-    real positive-focal solution is refused with NoValidFocalError, and a
-    sample the null-space step refuses keeps that refusal.
+    real positive-focal solution is refused with NoValidFocalError, and one
+    whose pencil's eigenvalues fail to converge keeps scipy's LinAlgError.
     """
     out: list = []
-    for sample in rows:
+    for basis in bases:
         try:
-            results = _solve_semicalibrated_rows(sample)
-        except (SolverError, ValueError) as exc:
+            results = _solve_semicalibrated(basis)
+        except np.linalg.LinAlgError as exc:
             out.append(exc)
             continue
         if not results:
@@ -1019,9 +988,10 @@ class SolverInfo:
     layout places the feature rows: None (point rows only), "first3" (the
     rows of the first three correspondences after the point rows) or
     "interleaved" (point and feature rows alternate). core, called through
-    solve_rows only, maps stacked finite rows (batch, r, 9) in the solver's
-    frame to one entry per sample: its raw models, or the exception that
-    refuses the sample. frame is the family's frame builder.
+    solve_rows only, maps the null-space bases (batch, 9 - r, 9) of stacked
+    rows (batch, r, 9) of rank r in the solver's frame to one entry per
+    sample: its raw models, or the exception that refuses the sample. frame
+    is the family's frame builder.
     collinear_degenerate is whether RANSAC discards a draw whose points are
     collinear in either image (the uncalibrated families).
     """
@@ -1084,9 +1054,11 @@ def frame_rows(info: SolverInfo, corr: np.ndarray, k1=None, k2=None, principal_p
 
     The whole array goes into info.frame. Returns (frame, point pairs in
     the frame, point rows, feature rows or None). Raises ValueError when
-    the array holds a non-finite value or lacks the orientation columns
-    the solver needs.
+    the array is not (n, 4) or (n, 8), holds a non-finite value or lacks
+    the orientation columns the solver needs.
     """
+    if corr.ndim != 2 or corr.shape[1] not in (4, 8):
+        raise ValueError(f"correspondences must be (n, 4) or (n, 8), got shape {corr.shape}")
     bad = int(np.count_nonzero(~np.isfinite(corr).all(axis=1)))
     if bad:
         raise ValueError(f"{bad} of {corr.shape[0]} correspondences hold non-finite values")
@@ -1099,18 +1071,31 @@ def frame_rows(info: SolverInfo, corr: np.ndarray, k1=None, k2=None, principal_p
 def solve_rows(info: SolverInfo, point_rows: np.ndarray, feature_rows) -> list:
     """The core's entry per sample from point and feature rows (batch, m, 9).
 
-    The rows are stacked in the solver's layout and run through info.core
-    as one batch. A sample holding a non-finite entry is refused with
-    IllConditionedSampleError; the core sees zeros in its place, so no
-    LAPACK call meets a NaN or an inf.
+    The rows are stacked in the solver's layout, r a sample, and one batched
+    SVD takes their null spaces: the core gets the trailing 9 - r right
+    singular vectors of the samples left after two refusals. A sample
+    holding a non-finite entry gets IllConditionedSampleError (the SVD sees
+    zeros in its place, so no LAPACK call meets a NaN or an inf); one whose
+    r-th singular value is below DEGENERACY_RTOL of its first, or whose
+    rows all vanish, gets DegenerateSampleError. No sample left, no call.
     """
     rows = info.rows(point_rows, feature_rows)
+    r = rows.shape[1]
     finite = np.isfinite(rows).all(axis=(1, 2))
-    if not finite.all():
-        rows = np.where(finite[:, None, None], rows, 0.0)
-    return [result if ok else IllConditionedSampleError(
-        "constraint rows not finite: the sample's coordinates overflow them")
-        for result, ok in zip(info.core(rows), finite.tolist())]
+    _, s, vt = np.linalg.svd(np.where(finite[:, None, None], rows, 0.0))
+    determined = (s[:, 0] > 0.0) & (s[:, r - 1] >= DEGENERACY_RTOL * s[:, 0])
+    solved = iter(info.core(vt[determined, r:])) if determined.any() else None
+    results = []
+    for ok, fin in zip(determined.tolist(), finite.tolist()):
+        if ok:
+            results.append(next(solved))
+        elif fin:
+            results.append(DegenerateSampleError(
+                f"constraint system rank below {r}; sample does not determine the model"))
+        else:
+            results.append(IllConditionedSampleError(
+                "constraint rows not finite: the sample's coordinates overflow them"))
+    return results
 
 
 def run_minimal_solver(solver_id: str, corr, k1=None, k2=None,

@@ -10,11 +10,11 @@ from siftpose.constraints import circle_compatible_angles
 from siftpose.errors import DegenerateSampleError, IllConditionedSampleError, ParseError
 from siftpose.fileio import BENCHMARK_COLUMNS, BenchmarkRow
 from siftpose.solvers import (
+    DEGENERACY_RTOL,
     _demixed_monomial_vectors,
     _norm,
     _polish_batch,
     _same_focal_model,
-    nullspace,
     real_cubic_roots,
 )
 
@@ -267,6 +267,22 @@ def scalar_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float
     return unique
 
 
+def nullspace(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Trailing right singular vectors spanning an expected null space.
+
+    Raises DegenerateSampleError when the system has more than ``dim``
+    near-zero directions relative to the largest singular value. The scalar
+    references' null-space step: solvers.solve_rows does it for a batch.
+    """
+    rows = np.asarray(rows, dtype=float)
+    _, s, vt = np.linalg.svd(rows)
+    kept = rows.shape[1] - dim
+    if kept > 0 and (s[0] == 0.0 or (len(s) >= kept and s[kept - 1] < DEGENERACY_RTOL * s[0])):
+        raise DegenerateSampleError(
+            f"constraint system rank below {kept}; sample does not determine the model")
+    return vt[rows.shape[1] - dim:]
+
+
 _ALPHA_PICKS = ((7, None), (0, "cbrt"), (6, 8), (4, 7))
 _BETA_PICKS = ((8, None), (1, "cbrt"), (6, 7), (5, 8))
 
@@ -314,7 +330,7 @@ def scalar_e3sift_start(rows: np.ndarray):
 def scalar_semicalibrated_rows(rows: np.ndarray):
     """The semi-calibrated core on one sample, candidate by candidate in Python.
 
-    The reference for the array scans of solvers._solve_semicalibrated_rows,
+    The reference for the array scans of solvers._solve_semicalibrated,
     kept as that function was before them: each candidate is checked
     against every earlier one in a Python loop.
 

@@ -21,7 +21,7 @@ from siftpose.robust import (
     score_msac,
 )
 
-from siftpose.solvers import run_minimal_solver, solver_info
+from siftpose.solvers import run_minimal_solver, solve_f_8pt, solver_info
 
 from conftest import spanning_indices
 
@@ -257,6 +257,26 @@ class TestLocalOptimize:
         assert warn == "insufficient inliers"
         assert rounds == 0
         assert out_model is model
+
+
+class TestEssentialRefit:
+    """The E adapter's LO refit: a null vector below eight inliers, the 8-point fit from eight."""
+
+    @pytest.mark.parametrize("count", [6, 7])
+    def test_few_inliers_give_a_null_vector_of_their_rows(self, scene, count):
+        problem = EssentialProblem(scene.correspondences, "e5pt", scene.k1, scene.k2)
+        assert problem.min_lo_inliers == 6
+        idx = spanning_indices(scene, count, np.random.default_rng(count))
+        model = problem.refit(idx)
+        assert model.shape == (3, 3)
+        assert np.linalg.norm(model) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(problem.point_rows[idx] @ model.reshape(-1)).max() < 1e-10
+
+    @pytest.mark.parametrize("count", [8, 9, 30])
+    def test_eight_or_more_inliers_give_the_eight_point_fit(self, scene, count):
+        problem = EssentialProblem(scene.correspondences, "e3sift", scene.k1, scene.k2)
+        idx = spanning_indices(scene, count, np.random.default_rng(count))
+        assert np.array_equal(problem.refit(idx), solve_f_8pt(problem.pairs[idx]).m)
 
 
 class TestRansacEndToEnd:

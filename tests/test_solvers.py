@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -280,7 +281,7 @@ class TestEssentialSolvers:
             local = normalize_sift_correspondences(scene.correspondences[idx],
                                                    scene.k1, scene.k2)
             rows.append(_interleaved(epipolar_rows(local[:, [0, 1, 4, 5]]), sift_rows(local)))
-        _, system, _, code = _e3sift_front(np.stack(rows))
+        _, system, _, code = _e3sift_front(_basis(np.stack(rows)))
         y, conditioned = _monomial_solve(system)
         assert not code.any() and conditioned.all()
         for sample in y:
@@ -306,17 +307,22 @@ class TestEssentialSolvers:
             elif i % 16 == 13:
                 rows = np.eye(9)[np.roll(np.arange(9), i % 9)[3:]]
             blocks.append(rows)
-        _, _, starts, code = _e3sift_front(np.stack(blocks))
+        stack = np.stack(blocks)
+        _, _, starts, code = _e3sift_front(_basis(stack))
+        screened = _screen(solver_info("e3sift"), stack)
         kinds = set()
         for i, rows in enumerate(blocks):
             try:
                 ref_start = scalar_e3sift_start(rows)[3]
             except SolverError as exc:
-                refusal = _E3SIFT_REFUSALS[code[i]]() if code[i] else None
+                if isinstance(exc, DegenerateSampleError):  # the rank screen's refusal
+                    refusal = screened[i]
+                else:
+                    refusal = _E3SIFT_REFUSALS[code[i]]() if code[i] else None
                 assert type(refusal) is type(exc) and str(refusal) == str(exc)
                 kinds.add(str(exc))
                 continue
-            assert code[i] == 0
+            assert code[i] == 0 and isinstance(screened[i], list)
             assert np.abs(starts[i] - ref_start).max() <= 1e-9 * np.abs(ref_start).max()
         assert len(kinds) == 2 and np.count_nonzero(code == 0) >= 200
 
@@ -372,13 +378,17 @@ class TestSingleCore:
     @pytest.mark.parametrize("size,feature_rows", [(4, True), (7, False)])
     def test_rank2_batch_rows_equal_batches_of_one(self, scenes, size, feature_rows):
         rows = self._blocks(scenes, size, feature_rows)
-        batched = rank2_candidates_batch(rows)
-        assert any(batched) and batched[-1] == []
+        bases = _basis(rows[:-1])
+        batched = rank2_candidates_batch(bases)
+        assert any(batched)
         for i, models in enumerate(batched):
-            alone = rank2_candidates_batch(rows[i:i + 1])[0]
+            alone = rank2_candidates_batch(bases[i:i + 1])[0]
             assert len(alone) == len(models)
             for a, b in zip(alone, models):
                 assert np.array_equal(a, b)
+        # the all-zero sample never reaches the core
+        refusal = _screen(solver_info("f4sift" if feature_rows else "f7pt"), rows[-1:])[0]
+        assert type(refusal) is DegenerateSampleError and str(refusal) == _rank_refusal(7)
 
     @staticmethod
     def _mixed_samples(scenes, info):
@@ -476,7 +486,30 @@ class TestSingleCore:
                     assert np.array_equal(a, b), i
         assert (IllConditionedSampleError,
                 "constraint rows not finite: the sample's coordinates overflow them") in refusals
+        rank = info.rows(points[:1], None if features is None else features[:1]).shape[1]
+        assert (DegenerateSampleError, _rank_refusal(rank)) in refusals
         assert sum(not isinstance(result, Exception) for result in batched) >= 150
+
+    @pytest.mark.parametrize("solver_id", ["f4sift", "f7pt", "e3sift", "e5pt",
+                                           "ff3sift", "ff6pt"])
+    def test_block_of_refused_samples(self, scene, solver_id):
+        # all-zero rows, a repeated record and a NaN: only refusals, and
+        # the core is never called on the empty remainder
+        info = solver_info(solver_id)
+        idx = spanning_indices(scene, info.sample_size, np.random.default_rng(32))
+        idx[1] = idx[0]
+        _, _, points, features = frame_rows(info, scene.correspondences[idx], scene.k1,
+                                            scene.k2, scene.principal_point)
+        points = np.stack([np.zeros_like(points), points, points])
+        points[2, 0, 0] = np.nan
+        if features is not None:
+            features = np.stack([np.zeros_like(features), features, features])
+        rank = info.rows(points, features).shape[1]
+        expected = [(DegenerateSampleError, _rank_refusal(rank))] * 2
+        expected.append((IllConditionedSampleError,
+                         "constraint rows not finite: the sample's coordinates overflow them"))
+        for run in (info, dataclasses.replace(info, core=None)):
+            assert [(type(out), str(out)) for out in solve_rows(run, points, features)] == expected
 
     @staticmethod
     def _calls(scene):
@@ -628,8 +661,8 @@ class TestFocalSolvers:
             out = solve_f_focal_3sift(corr, scene.principal_point)
             local = semicalibrated_frame(corr[:, [0, 1, 4, 5]],
                                          principal_point=scene.principal_point).local(corr)
-            found = solvers_module._solve_semicalibrated_rows(
-                _interleaved(epipolar_rows(local[:, [0, 1, 4, 5]]), sift_rows(local)))
+            found = solvers_module._solve_semicalibrated(
+                _basis(_interleaved(epipolar_rows(local[:, [0, 1, 4, 5]]), sift_rows(local))))
             assert len(found) == len(out.models)
             for model, (_, _, res) in zip(out.models, found):
                 assert model.focal > 0.0
@@ -650,9 +683,9 @@ class TestFocalSolvers:
         rows = np.empty((6, 9))
         rows[0::2] = epipolar_rows(local[:, [0, 1, 4, 5]])
         rows[1::2] = sift_rows(local)
-        first = solvers_module._solve_semicalibrated_rows(rows)
-        second = solvers_module._solve_semicalibrated_rows(rows)
-        assert len(first) == len(second)
+        first = solvers_module._solve_semicalibrated(_basis(rows))
+        second = solvers_module._solve_semicalibrated(_basis(rows))
+        assert first and len(first) == len(second)
         for (mat_a, focal_a, res_a), (mat_b, focal_b, res_b) in zip(first, second):
             assert np.array_equal(mat_a, mat_b)
             assert focal_a == focal_b and res_a == res_b
@@ -729,10 +762,16 @@ class TestSemicalibratedScans:
     def test_core_matches_the_scalar_reference(self, scenes, solver_id):
         # bitwise: the same (F, focal, residual) list in the same order, or
         # the same refusal
+        info = solver_info(solver_id)
         outcomes = []
         for i, rows in enumerate(self._rows(scenes, solver_id, 520)):
             expected = self._outcome(scalar_semicalibrated_rows, rows)
-            assert self._outcome(solvers_module._solve_semicalibrated_rows, rows) == expected, i
+            if isinstance(expected, tuple):  # the rank screen's refusal
+                refusal = _screen(info, rows[None])[0]
+                assert (type(refusal), str(refusal)) == expected, i
+            else:
+                solved = self._outcome(solvers_module._solve_semicalibrated, _basis(rows))
+                assert solved == expected, i
             outcomes.append(expected)
         solved = [out for out in outcomes if isinstance(out, list)]
         assert len(solved) >= 400 and max(map(len, solved)) >= 3
@@ -794,6 +833,24 @@ def _interleaved(points, features):
     return rows
 
 
+def _basis(rows):
+    """The trailing 9 - r right singular vectors of rows (..., r, 9), as solve_rows passes them."""
+    return np.linalg.svd(rows)[2][..., rows.shape[-2]:, :]
+
+
+def _screen(info, rows):
+    """solve_rows on core rows (batch, r, 9), split back into point and feature rows."""
+    if info.layout is None:
+        return solve_rows(info, rows, None)
+    if info.layout == "first3":
+        return solve_rows(info, rows[:, :info.sample_size], rows[:, info.sample_size:])
+    return solve_rows(info, rows[:, 0::2], rows[:, 1::2])
+
+
+def _rank_refusal(rank):
+    return f"constraint system rank below {rank}; sample does not determine the model"
+
+
 class TestRegistry:
     """Each solver's one registry entry, as every caller runs it."""
 
@@ -830,6 +887,17 @@ class TestRegistry:
             rows = info.rows(*frame_rows(info, corr, **self._kwargs(scene))[2:])
             dims[solver_id] = 9 - np.linalg.matrix_rank(rows)
         assert dims == {"f4sift": 2, "f7pt": 2, "e3sift": 3, "e5pt": 4, "ff3sift": 3, "ff6pt": 3}
+
+    @pytest.mark.parametrize("solver_id", ["f7pt", "e5pt", "ff6pt"])
+    @pytest.mark.parametrize("columns", [3, 5, 6, 9])
+    def test_column_count_checked(self, scene, solver_id, columns):
+        # only (n, 4) point pairs and (n, 8) packed records are correspondences
+        corr = np.hstack([scene.correspondences, scene.correspondences])[:, :columns]
+        size = solver_info(solver_id).sample_size
+        with pytest.raises(ValueError, match=rf"got shape \({len(corr)}, {columns}\)"):
+            make_problem(solver_id, corr, **self._kwargs(scene))
+        with pytest.raises(ValueError, match=rf"got shape \({size}, {columns}\)"):
+            run_minimal_solver(solver_id, corr[:size], **self._kwargs(scene))
 
     @pytest.mark.parametrize("solver_id", list(HAND_BUILT))
     def test_refused_sample_mid_block(self, scene, solver_id):
