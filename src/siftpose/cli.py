@@ -159,7 +159,10 @@ def cmd_ransac(args) -> int:
         problem = make_problem(args.problem, corr, k1=k1, k2=k2, principal_point=pp)
     except (ValueError, SolverError) as exc:  # missing or malformed intrinsics, no frame
         raise UsageError(str(exc)) from None
-    report = ransac(problem, config)
+    try:
+        report = ransac(problem, config)
+    except ValueError as exc:  # the threshold is not finite and positive in the solver frame
+        raise UsageError(str(exc)) from None
     wall_ms = 0.0 if args.fixed_clock else report.wall_time * 1000.0
 
     rot = trans = focal = math.nan

@@ -173,27 +173,39 @@ def _as_matrix(model) -> np.ndarray:
     return np.asarray(model, dtype=float)
 
 
+def epipolar_error_stack(p1h: np.ndarray, p2h: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Symmetric epipolar errors (k, n) of matrices (k, 3, 3) on homogeneous points (n, 3).
+
+    The one non-finite rule: a zero residual with exactly one vanishing line
+    normal (a point on an epipole) is a consistent pair, error 0; any other
+    non-finite error (both normals vanishing, an overflow, a NaN or inf
+    model) is inf, so it is never an inlier.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lines2 = p1h @ stack.transpose(0, 2, 1)
+        lines1 = p2h @ stack
+        residual = np.abs(np.einsum("ij,kij->ki", p2h, lines2))
+        n1 = np.sqrt(lines1[..., 0] ** 2 + lines1[..., 1] ** 2)
+        n2 = np.sqrt(lines2[..., 0] ** 2 + lines2[..., 1] ** 2)
+        err = 0.5 * residual * (1.0 / n1 + 1.0 / n2)
+    bad = ~np.isfinite(err)
+    if bad.any():
+        on_one_epipole = (residual[bad] == 0.0) & ((n1[bad] == 0.0) != (n2[bad] == 0.0))
+        err[bad] = np.where(on_one_epipole, 0.0, np.inf)
+    return err
+
+
 def symmetric_epipolar_errors(f, pairs: np.ndarray) -> np.ndarray:
     """Mean point-to-epipolar-line distance in both images, per pair.
 
-    pairs has rows (u1, v1, u2, v2). Returns +inf where both line normals
-    vanish (both points sit on an epipole).
+    pairs has rows (u1, v1, u2, v2); any other column count is a ValueError.
+    Errors and their non-finite rule are epipolar_error_stack's.
     """
-    m = _as_matrix(f)
     pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
-    p1 = homogenize(pairs[:, :2])
-    p2 = homogenize(pairs[:, 2:4])
-    lines2 = p1 @ m.T          # F p1, lines in image 2
-    lines1 = p2 @ m            # F^T p2, lines in image 1
-    residual = np.abs(np.sum(p2 * lines2, axis=1))
-    n1 = np.hypot(lines1[:, 0], lines1[:, 1])
-    n2 = np.hypot(lines2[:, 0], lines2[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = 0.5 * residual * (1.0 / n1 + 1.0 / n2)
-    err = np.where((n1 == 0.0) & (n2 == 0.0), np.inf, err)
-    # 0 * inf when the residual vanishes at an epipole: consistent pair, zero error
-    err = np.where(np.isnan(err) & (residual == 0.0), 0.0, err)
-    return err
+    if pairs.ndim != 2 or pairs.shape[1] != 4:
+        raise ValueError(f"pairs must be (n, 4), got shape {pairs.shape}")
+    return epipolar_error_stack(homogenize(pairs[:, :2]), homogenize(pairs[:, 2:]),
+                                _as_matrix(f)[None])[0]
 
 
 def rotation_error(r_est: np.ndarray, r_gt: np.ndarray) -> float:
@@ -235,14 +247,6 @@ def normalize_points(points: np.ndarray, k) -> np.ndarray:
     pts = homogenize(np.atleast_2d(np.asarray(points, dtype=float)))
     out = pts @ np.linalg.inv(kmat).T
     return out[:, :2] / out[:, 2:3]
-
-
-def normalize_pairs(pairs: np.ndarray, k1, k2) -> np.ndarray:
-    pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
-    out = np.empty_like(pairs[:, :4])
-    out[:, :2] = normalize_points(pairs[:, :2], k1)
-    out[:, 2:4] = normalize_points(pairs[:, 2:4], k2)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Locally optimized random sample consensus over the minimal solvers.
 
 Scoring is truncated-quadratic on the symmetric epipolar error of the point
-coordinates only; orientations and scales enter exclusively through the
-minimal solvers. Termination adapts to the best inlier ratio found so far,
-which is where smaller samples pay off. Local optimization refits on inliers
-re-collected at an annealed threshold with a least-squares solver.
+coordinates only, by geometry.epipolar_error_stack, the one error kernel;
+orientations and scales enter only through the minimal solvers. Termination
+adapts to the best inlier ratio found so far, which is where smaller samples
+pay off. Local optimization refits on inliers re-collected at an annealed
+threshold with a least-squares solver.
 
 Each problem adapter preconditions its data once (a shared similarity for
 pixel problems, the inverse intrinsics for calibrated ones) and precomputes
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .geometry import _as_matrix
+from .geometry import _as_matrix, epipolar_error_stack, homogenize
 from .solvers import as_pair_array, as_sift_array, frame_rows, solve_f_8pt, solve_rows, solver_info
 
 
@@ -39,8 +40,8 @@ class RansacConfig:
     def __post_init__(self):
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
-        if not self.threshold > 0.0:
-            raise ValueError("threshold must be positive")
+        if not (math.isfinite(self.threshold) and self.threshold > 0.0):
+            raise ValueError("threshold must be finite and positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
 
@@ -121,22 +122,6 @@ def degenerate_draws(pairs: np.ndarray, draws: np.ndarray, check_collinear: bool
     return bad
 
 
-def _epipolar_errors(p1h: np.ndarray, p2h: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Symmetric epipolar errors (k, n) of a stack of matrices (k, 3, 3).
-
-    Non-finite errors (a vanishing or overflowing line normal, a non-finite
-    model) map to inf.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lines2 = p1h @ stack.transpose(0, 2, 1)
-        lines1 = p2h @ stack
-        residual = np.abs(np.einsum("ij,kij->ki", p2h, lines2))
-        n1 = np.sqrt(lines1[..., 0] ** 2 + lines1[..., 1] ** 2)
-        n2 = np.sqrt(lines2[..., 0] ** 2 + lines2[..., 1] ** 2)
-        err = 0.5 * residual * (1.0 / n1 + 1.0 / n2)
-    return np.where(np.isfinite(err), err, np.inf)
-
-
 # ---------------------------------------------------------------------------
 # Problem adapters: data plus solver family behind a uniform surface
 # ---------------------------------------------------------------------------
@@ -163,9 +148,8 @@ class _EpipolarProblem:
         self.frame, self.pairs, self.point_rows, self.feature_rows = frame_rows(
             info, corr, k1, k2, principal_point)
         self.threshold_factor = self.frame.scale
-        ones = np.ones((self.pairs.shape[0], 1))
-        self.p1h = np.hstack([self.pairs[:, :2], ones])
-        self.p2h = np.hstack([self.pairs[:, 2:4], ones])
+        self.p1h = homogenize(self.pairs[:, :2])
+        self.p2h = homogenize(self.pairs[:, 2:4])
         self.info = info
         self.sample_size = info.sample_size
         self.pixel_pairs = as_pair_array(corr)
@@ -184,9 +168,9 @@ class _EpipolarProblem:
         return self.block_errors([model])[0]
 
     def block_errors(self, models) -> np.ndarray:
-        """Errors (k, n) of k models in one vectorized pass."""
-        return _epipolar_errors(self.p1h, self.p2h,
-                                np.stack([_as_matrix(model) for model in models]))
+        """Errors (k, n) of k models: epipolar_error_stack on the cached frame points."""
+        return epipolar_error_stack(self.p1h, self.p2h,
+                                    np.stack([_as_matrix(model) for model in models]))
 
     def refit(self, inlier_idx):
         """Least-squares eight-point F of the inliers' frame pairs (at least 8)."""
@@ -304,14 +288,18 @@ def ransac(problem, config: RansacConfig = RansacConfig()) -> RansacReport:
     """Best truncated-quadratic model with adaptive termination.
 
     Deterministic for a fixed seed: sampling, scoring order, and the
-    best-model update are all sequential.
+    best-model update are all sequential. Raises ValueError, before any
+    draw, when there are fewer correspondences than a sample or when the
+    threshold is not finite and positive once scaled into the solver frame.
     """
     n = problem.size
     m = problem.sample_size
     if n < m:
         raise ValueError(f"need at least {m} correspondences, got {n}")
-    rng = np.random.default_rng(config.seed)
     threshold = config.threshold * problem.threshold_factor
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold is {threshold} in the solver frame, not finite and positive")
+    rng = np.random.default_rng(config.seed)
 
     start = time.perf_counter()
     best_model = None

@@ -29,7 +29,7 @@ from .geometry import (
     FocalModel,
     FundamentalMatrix,
     _as_matrix,
-    normalize_pairs,
+    normalize_points,
 )
 
 DEGENERACY_RTOL = 1e-12
@@ -61,21 +61,22 @@ def _intrinsics(k) -> CameraIntrinsics:
 
 
 def normalize_sift_correspondences(corr, k1, k2) -> np.ndarray:
-    """Map packed correspondences through the inverse intrinsics.
+    """Map packed correspondences (n, 8) or point pairs (n, 4) through the inverse intrinsics.
 
-    Points go through K^-1. The feature scale is multiplied by sqrt(det) of
-    the upper-left 2x2 of K^-1 and the orientation vector is mapped through
-    it; for square pixels this is exact, otherwise the circular feature model
-    only approximates the anisotropic mapping.
+    Points go through geometry.normalize_points. The feature scale is
+    multiplied by sqrt(det) of the upper-left 2x2 of K^-1 and the
+    orientation vector is mapped through it; for square pixels this is
+    exact, otherwise the circular feature model only approximates the
+    anisotropic mapping.
     """
     corr = as_sift_array(corr)
     out = corr.copy()
-    for offset, k in ((0, _intrinsics(k1)), (4, _intrinsics(k2))):
-        kinv = k.inverse_matrix()
-        pts = np.hstack([corr[:, offset:offset + 2], np.ones((corr.shape[0], 1))])
-        mapped = pts @ kinv.T
-        out[:, offset:offset + 2] = mapped[:, :2] / mapped[:, 2:3]
-        lin = kinv[:2, :2]
+    second = corr.shape[1] // 2  # the first column of image 2
+    for offset, k in ((0, _intrinsics(k1)), (second, _intrinsics(k2))):
+        out[:, offset:offset + 2] = normalize_points(corr[:, offset:offset + 2], k)
+        if second == 2:
+            continue
+        lin = k.inverse_matrix()[:2, :2]
         angles = corr[:, offset + 3]
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1) @ lin.T
         out[:, offset + 3] = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * math.pi)
@@ -936,9 +937,7 @@ class CalibratedFrame:
 
     def local(self, corr: np.ndarray) -> np.ndarray:
         """Packed correspondences (n, 8) or point pairs (n, 4) in the frame."""
-        if corr.shape[1] == 8:
-            return normalize_sift_correspondences(corr, self.k1, self.k2)
-        return normalize_pairs(corr, self.k1, self.k2)
+        return normalize_sift_correspondences(corr, self.k1, self.k2)
 
     def model(self, raw) -> EssentialMatrix:
         return EssentialMatrix.from_array(raw)

@@ -112,6 +112,7 @@ class TestRansacCommand:
 
     @pytest.mark.parametrize("flag,value", [("--confidence", "2"), ("--confidence", "0"),
                                             ("--threshold", "-1"), ("--threshold", "0"),
+                                            ("--threshold", "inf"), ("--threshold", "5e-324"),
                                             ("--max-iters", "-3")])
     def test_invalid_config_is_usage_error(self, flag, value, capsys):
         code = run_cli(["ransac", "--problem", "f7pt",

@@ -94,6 +94,21 @@ class TestSymmetricEpipolarError:
         err_one = symmetric_epipolar_errors(f, np.array([[0.0, 0.0, 3.0, 4.0]]))
         assert err_one[0] == 0.0
 
+    def test_non_finite_is_inf(self):
+        rng = np.random.default_rng(6)
+        pairs = rng.uniform(-100.0, 100.0, (5, 4))
+        for bad in (np.nan, np.inf):
+            assert np.all(symmetric_epipolar_errors(np.full((3, 3), bad), pairs) == np.inf)
+        # line normals and residuals overflow
+        huge = symmetric_epipolar_errors(random_rank2(rng), np.full((1, 4), 1e300))
+        assert huge[0] == np.inf
+
+    def test_wrong_shape_is_refused(self, scene):
+        with pytest.raises(ValueError, match=r"\(n, 4\).*\(\d+, 8\)"):
+            symmetric_epipolar_errors(scene.f, scene.correspondences)
+        with pytest.raises(ValueError, match=r"\(2, 3\)"):
+            symmetric_epipolar_errors(scene.f, np.zeros((2, 3)))
+
 
 class TestPoseMetrics:
     def test_rotation_identity(self):

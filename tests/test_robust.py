@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siftpose.bench import make_robust_instance, pose_errors
-from siftpose.geometry import rotation_error, symmetric_epipolar_errors
+from siftpose.geometry import CameraIntrinsics, rotation_error, symmetric_epipolar_errors
 from siftpose.robust import (
     EssentialProblem,
     FocalProblem,
@@ -113,7 +113,7 @@ class TestBlockScoring:
             assert scores[j] == score
             assert np.array_equal(np.nonzero(masks[j])[0], inliers)
 
-    @pytest.mark.parametrize("solver_id", ["f7pt", "e5pt", "ff3sift"])
+    @pytest.mark.parametrize("solver_id", ["f4sift", "f7pt", "e3sift", "e5pt", "ff3sift", "ff6pt"])
     def test_block_errors_match_geometry(self, solver_id):
         rng = np.random.default_rng(10)
         scene, corr, _ = make_robust_instance(120, 0.6, 0.5, rng)
@@ -123,8 +123,7 @@ class TestBlockScoring:
         errors = problem.block_errors(models)
         for j, model in enumerate(solved):
             mat = model[0] if isinstance(model, tuple) else model
-            np.testing.assert_allclose(errors[j], symmetric_epipolar_errors(mat, problem.pairs),
-                                       rtol=1e-12, atol=1e-15)
+            assert np.array_equal(errors[j], symmetric_epipolar_errors(mat, problem.pairs))
 
     def test_non_finite_errors_are_inf_and_never_inliers(self, scene):
         problem = FundamentalProblem(scene.correspondences, "f7pt")
@@ -135,6 +134,21 @@ class TestBlockScoring:
         scores, masks = score_msac(errors, threshold)
         np.testing.assert_allclose(scores, problem.size * threshold ** 2, rtol=1e-12)
         assert not masks.any()
+
+    def test_non_finite_rule_matches_the_public_function(self):
+        # identity intrinsics keep the frame pairs exact: record 0 sits on
+        # the epipole (0, 0) of diag(1, 1, 0) in both images, record 1 in
+        # image 1 only with a zero residual
+        identity = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
+        pairs = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
+        problem = EssentialProblem(pairs, "e5pt", identity, identity)
+        assert np.array_equal(problem.pairs, pairs)
+        models = [np.diag([1.0, 1.0, 0.0]), np.full((3, 3), np.nan)]
+        errors = problem.block_errors(models)
+        assert errors[0, 0] == np.inf and errors[0, 1] == 0.0 and np.isfinite(errors[0, 2])
+        assert np.all(errors[1] == np.inf)
+        for j, model in enumerate(models):
+            assert np.array_equal(errors[j], symmetric_epipolar_errors(model, pairs))
 
 
 class TestDegeneracy:
@@ -305,6 +319,23 @@ class TestRansacEndToEnd:
         assert np.all(errors[report.inliers] < threshold)
         outside = np.setdiff1d(np.arange(problem.size), report.inliers)
         assert np.all(errors[outside] >= threshold)
+
+    @pytest.mark.parametrize("solver_id,instances,size,ratio", [
+        ("f4sift", 40, 200, 0.6), ("f7pt", 40, 200, 0.6), ("ff3sift", 12, 120, 0.7)])
+    def test_reported_inliers_in_pixels(self, solver_id, instances, size, ratio):
+        # the reported inliers are exactly the records within the pixel
+        # threshold of the returned pixel model, up to the frame's roundoff
+        for t in range(instances):
+            rng = np.random.default_rng(np.random.SeedSequence((7, t)))
+            scene, corr, _ = make_robust_instance(size, ratio, 0.5, rng)
+            problem = make_problem(solver_id, corr, principal_point=scene.principal_point)
+            config = RansacConfig(seed=t)
+            report = ransac(problem, config)
+            assert report.success
+            errors = symmetric_epipolar_errors(report.model, problem.pixel_pairs)
+            assert np.all(errors[report.inliers] < config.threshold * (1.0 + 1e-6))
+            outside = np.setdiff1d(np.arange(size), report.inliers)
+            assert np.all(errors[outside] >= config.threshold * (1.0 - 1e-6))
 
     def test_sift_pipeline_accuracy_noise_free(self):
         # planted 60% inliers without measurement noise: the pipeline should

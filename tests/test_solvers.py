@@ -355,6 +355,12 @@ class TestEssentialSolvers:
         delta = np.minimum(delta, 2 * math.pi - delta)
         assert np.max(delta) < 1e-12
 
+    def test_normalized_pairs_are_the_packed_points(self, scene):
+        packed = normalize_sift_correspondences(scene.correspondences, scene.k1, scene.k2)
+        pairs = normalize_sift_correspondences(scene.pairs, scene.k1, scene.k2)
+        assert pairs.shape == scene.pairs.shape
+        assert np.array_equal(pairs, packed[:, [0, 1, 4, 5]])
+
 
 class TestSingleCore:
     """The public F/E solvers and the sampling loop run one batched core."""
