@@ -139,11 +139,6 @@ TRIVARIATE_BASIS = (trivariate_monomials_batch,
 SEMICALIBRATED_BASIS = (semicalibrated_monomials_batch, semicalibrated_gradient_batch)
 
 
-def polymat_from_basis(mats) -> np.ndarray:
-    """Stack pencil matrices (k, 3, 3) into polynomial entries (3, 3, k)."""
-    return np.moveaxis(np.asarray(mats, dtype=float), 0, -1)
-
-
 def polymat_mul(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Product of two polynomial matrices through a scatter table.
 
@@ -220,13 +215,14 @@ def semicalibrated_constraint_system(basis_mats) -> tuple[np.ndarray, np.ndarray
                                                           np.ndarray, np.ndarray]:
     """Trace/det system for F(x, y) = x N1 + y N2 + N3 with gauge G = diag(1, 1, w).
 
+    basis_mats holds N1, N2, N3, or a batch of them with shape (..., 3, 3, 3).
     The constraint F G F^T G F - 0.5 trace(F G F^T G) F = 0 is quadratic in w;
     returns (m0, m1, m2, det) where the trace rows are m0 + w m1 + w^2 m2,
-    each of shape (9, 10) over the bivariate degree-3 basis, and det has
-    shape (10,).
+    each of shape (..., 9, 10) over the bivariate degree-3 basis, and det has
+    shape (..., 10).
     """
     algebra = BIVARIATE
-    f = polymat_from_basis(basis_mats)
+    f = np.moveaxis(np.asarray(basis_mats, dtype=float), -3, -1)
     ft = polymat_transpose(f)
     d0 = np.diag([1.0, 1.0, 0.0])
     d1 = np.diag([0.0, 0.0, 1.0])
@@ -242,6 +238,5 @@ def semicalibrated_constraint_system(basis_mats) -> tuple[np.ndarray, np.ndarray
           - 0.5 * scalar_polymat_mul(tr_with(x, d1) + tr_with(y, d0), f, algebra.s21))
     m2 = (polymat_mul(polymat_const_mul(y, d1), f, algebra.s21)
           - 0.5 * scalar_polymat_mul(tr_with(y, d1), f, algebra.s21))
-    det = polymat_det(f, algebra)
-    return (m0.reshape(9, algebra.n3), m1.reshape(9, algebra.n3),
-            m2.reshape(9, algebra.n3), det)
+    shape = f.shape[:-3] + (9, algebra.n3)
+    return m0.reshape(shape), m1.reshape(shape), m2.reshape(shape), polymat_det(f, algebra)

@@ -173,6 +173,13 @@ def _as_matrix(model) -> np.ndarray:
     return np.asarray(model, dtype=float)
 
 
+def _line_norms(lines: np.ndarray) -> np.ndarray:
+    """sqrt(a^2 + b^2) of lines (..., 3) (a, b, c); squares b in place."""
+    norms = np.square(lines[..., 0])
+    norms += np.square(lines[..., 1], out=lines[..., 1])
+    return np.sqrt(norms, out=norms)
+
+
 def epipolar_error_stack(p1h: np.ndarray, p2h: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Symmetric epipolar errors (k, n) of matrices (k, 3, 3) on homogeneous points (n, 3).
 
@@ -180,13 +187,18 @@ def epipolar_error_stack(p1h: np.ndarray, p2h: np.ndarray, stack: np.ndarray) ->
     normal (a point on an epipole) is a consistent pair, error 0; any other
     non-finite error (both normals vanishing, an overflow, a NaN or inf
     model) is inf, so it is never an inlier.
+
+    One (k, n, 3) line buffer holds the lines in image 2 and then those in
+    image 1, and the norms square into it: a block of k models allocates one
+    line array, not two plus their squares, so glibc does not hand the heap
+    back to the kernel and fault it in again on every block.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lines2 = p1h @ stack.transpose(0, 2, 1)
-        lines1 = p2h @ stack
-        residual = np.abs(np.einsum("ij,kij->ki", p2h, lines2))
-        n1 = np.sqrt(lines1[..., 0] ** 2 + lines1[..., 1] ** 2)
-        n2 = np.sqrt(lines2[..., 0] ** 2 + lines2[..., 1] ** 2)
+        lines = p1h @ stack.transpose(0, 2, 1)
+        residual = np.einsum("ij,kij->ki", p2h, lines)
+        np.abs(residual, out=residual)
+        n2 = _line_norms(lines)
+        n1 = _line_norms(np.matmul(p2h, stack, out=lines))
         err = 0.5 * residual * (1.0 / n1 + 1.0 / n2)
     bad = ~np.isfinite(err)
     if bad.any():

@@ -14,7 +14,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _poly
 from .constraints import epipolar_rows, normalized_residuals, sift_rows
@@ -368,6 +367,35 @@ def _first_of_clusters(points: np.ndarray, valid: np.ndarray, rtol: float) -> np
     return valid & ~np.logical_or.reduce(near, axis=2)
 
 
+def _eigenvector_roots(vecs: np.ndarray, valid: np.ndarray, nvars: int, tail=None):
+    """The roots read off eigenvectors, and the mask of the distinct ones.
+
+    vecs (batch, k, n) holds one eigenvector per slot, a monomial vector
+    whose last entries are [x_1 .. x_nvars, 1]; valid (batch, k)
+    marks the slots whose eigenvalues qualify. Each vector is turned real by
+    the phase of its largest entry, and a valid slot stays valid when its
+    last entry v_n has |v_n| at least 1e-10 |v|. Its root is
+    (v_{n-nvars} .. v_{n-1}) / v_n, followed by the slot's tail (batch, k, t)
+    when one is given; invalid slots read zero. In slot order, a valid root
+    within 1e-9 (1 + |r|) of an earlier valid root of its sample is dropped
+    (_first_of_clusters). Returns the roots (batch, k, nvars + t) and the
+    mask of the valid, distinct ones.
+    """
+    # np.linalg.eig returns real vectors when a whole batch has real
+    # eigenvalues; complex ones keep each slot's arithmetic batch-independent
+    vecs = vecs.astype(complex, copy=False)
+    pivot = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=2)[..., None], axis=2)
+    # a zero vector (part of a refused sample's zeroed matrix) reads NaN and fails the test
+    with np.errstate(invalid="ignore"):
+        vecs = (vecs * np.conj(pivot) / np.abs(pivot)).real
+    valid = valid & (np.abs(vecs[..., -1]) >= 1e-10 * np.linalg.norm(vecs, axis=2))
+    roots = np.divide(vecs[..., -1 - nvars:-1], vecs[..., -1:],
+                      out=np.zeros(valid.shape + (nvars,)), where=valid[..., None])
+    if tail is not None:
+        roots = np.concatenate([roots, np.where(valid[..., None], tail, 0.0)], axis=2)
+    return roots, _first_of_clusters(roots, valid, 1e-9)
+
+
 def essential_candidates_batch(basis: np.ndarray) -> tuple[list, np.ndarray]:
     """Five-point core over samples: basis (batch, 4, 9) spans each 5x9 system's null space.
 
@@ -378,10 +406,8 @@ def essential_candidates_batch(basis: np.ndarray) -> tuple[list, np.ndarray]:
     samples and their ten eigenvector slots:
 
     - a slot is a candidate when its eigenvalue w has |Im w| at most
-      1e-6 max(1, |Re w|) and its eigenvector, turned real by the phase of
-      its largest entry, has |v_9| at least 1e-10 |v|; the root is v_6..8 / v_9;
-    - in eigenvalue order, a candidate within 1e-9 (1 + |c|) of an earlier
-      candidate of its sample is dropped;
+      1e-6 max(1, |Re w|); _eigenvector_roots reads its root v_6..8 / v_9
+      and drops a candidate near an earlier one of its sample;
     - after the polish, a root whose residual exceeds 1e-6 (|c|^2 + 1)^1.5
       (the residual of the unit-norm E) is cut, and a root within
       1e-7 (1 + |c|) of an earlier uncut root of its sample is dropped.
@@ -418,18 +444,12 @@ def essential_candidates_batch(basis: np.ndarray) -> tuple[list, np.ndarray]:
     action[~solvable] = 0.0
     eigvals, eigvecs = np.linalg.eig(action)
 
-    # (batch, slot, entry): one eigenvector per slot
-    vecs = np.swapaxes(eigvecs, 1, 2)
-    pivot = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=2)[..., None], axis=2)
-    vecs = (vecs * np.conj(pivot) / np.abs(pivot)).real
     valid = (solvable[:, None]
-             & (np.abs(eigvals.imag) <= 1e-6 * np.maximum(1.0, np.abs(eigvals.real)))
-             & (np.abs(vecs[..., 9]) >= 1e-10 * np.linalg.norm(vecs, axis=2)))
-    cands = np.divide(vecs[..., 6:9], vecs[..., 9:], out=np.zeros((batch, 10, 3)),
-                      where=valid[..., None])
-    owners, slots = np.nonzero(_first_of_clusters(cands, valid, 1e-9))
+             & (np.abs(eigvals.imag) <= 1e-6 * np.maximum(1.0, np.abs(eigvals.real))))
+    cands, distinct = _eigenvector_roots(np.swapaxes(eigvecs, 1, 2), valid, 3)
+    owners, slots = np.nonzero(distinct)
     polished = np.zeros_like(cands)
-    kept = np.zeros_like(valid)
+    kept = np.zeros_like(distinct)
     if owners.size:
         states, residuals = _polish_batch(system[owners], cands[owners, slots],
                                           _poly.TRIVARIATE_BASIS, 3)
@@ -630,40 +650,6 @@ def solve_e_5pt(pairs, k1, k2) -> SolverOutput:
 # Semi-calibrated solvers (unknown shared focal length)
 # ---------------------------------------------------------------------------
 
-def _demixed_monomial_vectors(v1: np.ndarray, v2: np.ndarray) -> list[tuple[float, float]]:
-    """(x, y) seeds from the two trailing singular vectors of a monomial system.
-
-    Near a double root the null vector is an arbitrary mix of two monomial
-    vectors; combinations v1 + t v2 satisfying the consistency x * x = x^2 * 1
-    (and its y analogue) split the pair. Monomial indices follow the
-    bivariate degree-3 basis [x3 y3 x2y xy2 x2 y2 xy x y 1].
-    """
-    seeds: list[tuple[float, float]] = []
-
-    def push(vec: np.ndarray):
-        if abs(vec[9]) > 1e-10 * np.linalg.norm(vec):
-            seeds.append((vec[7] / vec[9], vec[8] / vec[9]))
-
-    push(v1)
-    push(v2)
-    for sq, lin in ((4, 7), (5, 8)):
-        a = v1[lin] ** 2 - v1[sq] * v1[9]
-        b = 2.0 * v1[lin] * v2[lin] - (v1[sq] * v2[9] + v2[sq] * v1[9])
-        c = v2[lin] ** 2 - v2[sq] * v2[9]
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0 or abs(c) < 1e-14 * max(abs(a), abs(b), 1e-300):
-            continue
-        sq_disc = math.sqrt(disc)
-        for sign in (1.0, -1.0):
-            push(v1 + ((-b + sign * sq_disc) / (2.0 * c)) * v2)
-    unique: list[tuple[float, float]] = []
-    for x, y in seeds:
-        if all(math.hypot(x - px, y - py) > 1e-6 * (1.0 + math.hypot(x, y))
-               for px, py in unique):
-            unique.append((x, y))
-    return unique
-
-
 def _same_focal_model(a, b) -> bool:
     """Whether two (unit F, focal, residual) solutions are one model.
 
@@ -678,188 +664,119 @@ def _same_focal_model(a, b) -> bool:
     return gap <= 1e-4 and abs(a[1] - b[1]) <= 1e-4 * max(a[1], b[1])
 
 
-def _greedy_keep(near: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Order-keeping greedy de-duplication: the mask of the points kept in a scan.
+# the shift sigma of the quadratic eigenvalue problem in w: w = sigma + 1 / u
+_FOCAL_SHIFT = -1.0
 
-    Point j is kept when it is valid and no *kept* point i < j is near it;
-    near (k, k) holds near[j, i] for the pairs i < j (the rest is ignored).
-    A point with no earlier valid point near is kept outright, one near an
-    earlier point kept outright is dropped outright, and only the others are
-    scanned in order. This is not _first_of_clusters, which drops j when any
-    earlier valid point is near: on a chain a ~ b ~ c with a and c apart,
-    b is dropped, so it no longer shadows c, and this keeps a and c where
-    _first_of_clusters keeps only a. The semi-calibrated core's scans
-    have always used this rule, and the other one would drop its models.
+
+def semicalibrated_candidates_batch(basis: np.ndarray) -> tuple[list, np.ndarray]:
+    """Semi-calibrated core over samples: basis (batch, 3, 9) spans each null space of F.
+
+    The rows constrain F in coordinates where the shared principal point is
+    the origin. F(x, y) = x N1 + y N2 + N3 and the inverse squared focal
+    length w solve the quadratic eigenvalue problem (a0 + w a1 + w^2 a2) v = 0
+    of the trace and determinant rows over the bivariate degree-3 basis v.
+    Shifted and inverted at w = sigma + 1 / u with sigma = -1, it is
+    u^2 P + u (a1 + 2 sigma a2) + a2 with P = a0 + sigma a1 + sigma^2 a2,
+    whose 20x20 companion [[0, I], [-P^-1 a2, -P^-1 (a1 + 2 sigma a2)]] takes
+    one batched eigendecomposition. Everything runs as array operations over
+    the samples and their twenty eigenvector slots:
+
+    - a slot is a candidate when |Im u| is at most 1e-6 |Re u|, |Re u| is
+      above 1e-5 (which cuts the infinite w) and w = sigma + 1 / Re u is
+      finite and positive; the top half of its eigenvector is v, read by
+      _eigenvector_roots as (x, y) = (v_7, v_8) / v_9 with w appended;
+    - every distinct candidate of the block starts one lockstep Gauss-Newton
+      on the trace and determinant rows;
+    - a polished (x, y, w) is accepted when w is finite and above 1e-14,
+      F(x, y) is nonzero and the residual of the unit-norm F is at most 1e-8;
+    - in slot order, an accepted solution that is one model with a kept one
+      (_same_focal_model: the (x, y, w) gauge of the null space plays no
+      part) replaces it when its residual is smaller, and is dropped
+      otherwise.
+
+    Returns (results, solvable): one list of (unit F, focal, residual) per
+    sample, sorted by residual and at most fifteen long, and a mask that is
+    False where P is singular or its companion not finite. A solvable sample
+    may still keep no solution.
     """
-    near = near & _earlier(len(valid)) & valid
-    shadowed = near.any(axis=1)
-    keep = valid & ~shadowed
-    undecided = valid & shadowed & ~(near & keep).any(axis=1)
-    for j in np.flatnonzero(undecided):
-        keep[j] = not (near[j] & keep).any()
-    return keep
+    batch = basis.shape[0]
+    pencil = basis.reshape(batch, 3, 3, 3)
+    m0, m1, m2, det_row = _poly.semicalibrated_constraint_system(pencil)
+    # [a0 | a1 | a2]: the trace rows, and the determinant row in a0 only
+    system = np.zeros((batch, 10, 30))
+    system[:, :9, :10] = m0
+    system[:, 9, :10] = det_row
+    system[:, :9, 10:20] = m1
+    system[:, :9, 20:] = m2
+    a0, a1, a2 = system[..., :10], system[..., 10:20], system[..., 20:]
+    shifted = a0 + _FOCAL_SHIFT * a1 + _FOCAL_SHIFT ** 2 * a2
+    right = np.concatenate([a2, a1 + 2.0 * _FOCAL_SHIFT * a2], axis=2)
+    solvable = np.ones(batch, dtype=bool)
+    try:
+        lower = np.linalg.solve(shifted, right)
+    except np.linalg.LinAlgError:
+        # the solve fails on an exactly zero LU pivot, which slogdet
+        # reports as sign 0 from the same factorization
+        solvable = np.linalg.slogdet(shifted)[0] != 0.0
+        lower = np.full_like(right, np.nan)
+        lower[solvable] = np.linalg.solve(shifted[solvable], right[solvable])
+    solvable &= np.isfinite(lower).all(axis=(1, 2))
 
+    companion = np.zeros((batch, 20, 20))
+    companion[:, :10, 10:] = np.eye(10)
+    companion[:, 10:] = -lower
+    companion[~solvable] = 0.0
+    eigvals, eigvecs = np.linalg.eig(companion)
+    with np.errstate(divide="ignore"):
+        slot_w = _FOCAL_SHIFT + 1.0 / eigvals.real
+    valid = (solvable[:, None]
+             & (np.abs(eigvals.imag) <= 1e-6 * np.abs(eigvals.real))
+             & (np.abs(eigvals.real) > 1e-5) & np.isfinite(slot_w) & (slot_w > 0.0))
+    starts, distinct = _eigenvector_roots(np.swapaxes(eigvecs, 1, 2)[..., :10], valid, 2,
+                                          slot_w[..., None])
 
-def _squared_norms(v: np.ndarray) -> np.ndarray:
-    """v.dot(v) of every vector of a stack (..., d), by the same BLAS dot.
-
-    A stacked (1, d) @ (d, 1) product reaches the dot kernel per vector, so
-    it is bitwise _norm's and np.linalg.norm's square; einsum and a summed
-    product round differently.
-    """
-    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
-def _solve_semicalibrated(basis: np.ndarray):
-    """Shared back-end of the 3-feature and 6-point focal solvers.
-
-    basis (3, 9) spans the null space of the rows that constrain F in
-    coordinates where the shared principal point is the origin. Solves for
-    F(x, y) = x n1 + y n2 + n3 and the inverse squared focal length w
-    through the quadratic eigenvalue problem of the trace constraint, whose
-    pencil has twenty eigenvalues. The steps,
-    each over arrays in a fixed order:
-
-    - roots: the finite eigenvalues with |Im w| at most 5e-2 max(1, |Re w|)
-      and Re w > 0, in eigenvalue order, kept by a greedy scan
-      (_greedy_keep) that drops a root within 1e-3 max(1, |r|) of a kept
-      root r;
-    - seeds: per root, one SVD of a0 + w a1 + w^2 a2 (all roots in one
-      stacked call) and the demixed (x, y) of its two trailing singular
-      vectors; a seed within 1e-4 (1 + |(x, y)|) of an earlier seed is
-      dropped;
-    - candidates: six (x, y, w) slots per seed in seed order: the root's w,
-      the two ratios of the rank-2 null vector of the seed's (9, 3) stack of
-      quadratics in w (all seeds in one stacked SVD), and the up to three
-      real roots of the shared quadratic; a slot is valid when its triple
-      is finite with w > 0, and a greedy scan drops a valid candidate
-      within 1e-4 (1 + |c_j|) of a kept one;
-    - polish: one lockstep Gauss-Newton over the kept candidates on the
-      trace and determinant rows;
-    - accept: a polished candidate passes when its w is finite and above
-      1e-14, its F(x, y) is nonzero and the residual of the unit-norm F is
-      at most 1e-8; a greedy scan over the passing ones drops a candidate
-      whose start lies within 2e-3 (1 + max|c_j|) in every coordinate of
-      an accepted polished state;
-    - merge: in acceptance order, an accepted solution that is one model
-      with a kept one (_same_focal_model: the (x, y, w) gauge of the null
-      space plays no part) replaces it when its residual is smaller, and is
-      dropped otherwise.
-
-    Returns a list of (F 3x3, focal, residual) sorted by residual, at most
-    fifteen entries.
-    """
-    n = [basis[i].reshape(3, 3) for i in range(3)]
-    m0, m1, m2, det_row = _poly.semicalibrated_constraint_system(n)
-
-    a0 = np.vstack([m0, det_row])
-    a1 = np.vstack([m1, np.zeros(10)])
-    a2 = np.vstack([m2, np.zeros(10)])
-    pencil_a = np.block([[np.zeros((10, 10)), np.eye(10)], [a0, a1]])
-    pencil_b = np.block([[np.eye(10), np.zeros((10, 10))],
-                         [np.zeros((10, 10)), -a2]])
-    eigvals = scipy.linalg.eigvals(pencil_a, pencil_b)
-
-    # keep distinct real-ish eigenvalues; near-double roots may surface with a
-    # small imaginary part, so the filter here is loose and the residual check
-    # after polishing is what decides
-    finite = eigvals[np.isfinite(eigvals)]
-    real = finite.real
-    roots = real[(np.abs(finite.imag) <= 5e-2 * np.maximum(1.0, np.abs(real))) & (real > 0.0)]
-    # the tolerance is the earlier root's
-    near = np.abs(roots[:, None] - roots) <= 1e-3 * np.maximum(1.0, np.abs(roots))
-    roots = roots[_greedy_keep(near, np.ones(len(roots), dtype=bool))]
-    if not len(roots):
-        return []
-
-    vt = np.linalg.svd(a0 + roots[:, None, None] * a1 + (roots * roots)[:, None, None] * a2)[2]
-    # the demixing and the seed test stay scalar: math.hypot and scalar
-    # powers have no bitwise array counterpart
-    seeds: list[tuple[float, float, float]] = []
-    for w, root_vt in zip(roots, vt):
-        for x, y in _demixed_monomial_vectors(root_vt[-1], root_vt[-2]):
-            if all(math.hypot(x - sx, y - sy) > 1e-4 * (1.0 + math.hypot(x, y))
-                   for sx, sy, _ in seeds):
-                seeds.append((x, y, w))
-    if not seeds:
-        return []
-    seeds = np.array(seeds)
-
-    # re-solve w from the trace rows at each seed's (x, y); eigenvalues are
-    # unreliable when two roots cluster in w
-    mono = _poly.bivariate_monomials_batch(seeds[:, :2])[:, :, None]
-    qvt = np.linalg.svd(np.concatenate([m2 @ mono, m1 @ mono, m0 @ mono], axis=2))[2]
-    # rank-1 stack (all nine quadratics share both roots): the dominant
-    # direction carries the shared quadratic's coefficients
-    shared, found = real_cubic_roots(
-        np.concatenate([np.zeros((len(seeds), 1)), qvt[:, 0]], axis=1))
-    slots = np.empty((len(seeds), 6, 3))
-    slots[:, :, :2] = seeds[:, None, :2]
-    slots[:, 0, 2] = seeds[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # rank-2 stack: the null vector is the monomial vector (w^2, w, 1)
-        slots[:, 1, 2] = qvt[:, -1, 1] / qvt[:, -1, 2]
-        slots[:, 2, 2] = qvt[:, -1, 0] / qvt[:, -1, 1]
-        slots[:, 3:, 2] = shared
-        valid = np.isfinite(slots).all(axis=2) & (slots[:, :, 2] > 0.0)
-    valid[:, 3:] &= found
-    raw = slots[valid]
+    owners, slots = np.nonzero(distinct)
+    results: list = [[] for _ in range(batch)]
+    if not owners.size:
+        return results, solvable
+    states, residuals = _polish_batch(system[owners], starts[owners, slots],
+                                      _poly.SEMICALIBRATED_BASIS, 14)
+    x, y, w = states.T
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.sqrt(_squared_norms(raw[:, None] - raw))
-        near = ~(dist > 1e-4 * (1.0 + np.sqrt(_squared_norms(raw)))[:, None])
-    candidates = raw[_greedy_keep(near, np.ones(len(raw), dtype=bool))]
-    if not len(candidates):
-        return []
-
-    system = np.broadcast_to(np.hstack([a0, a1, a2]), (len(candidates), 10, 30))
-    polished, residuals = _polish_batch(system, candidates, _poly.SEMICALIBRATED_BASIS, 14)
-    x, y, w = polished.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = x[:, None, None] * n[0] + y[:, None, None] * n[1] + n[2]
-        norms = np.sqrt(_squared_norms(f.reshape(-1, 9)))
-        passing = np.isfinite(w) & (w > 1e-14) & (norms != 0.0)
-        # residual of the unit-norm F: the constraint is cubic in F; the
-        # cube is a scalar power, which numpy's array power rounds otherwise
-        res_size = np.zeros(len(candidates))
-        res_size[passing] = residuals[passing] / np.array([v ** 3 for v in norms[passing]])
-        passing &= ~(res_size > 1e-8)
-        start_gap = np.abs(candidates[:, None] - polished).max(axis=2)
-        near = start_gap < 2e-3 * (1.0 + np.abs(candidates).max(axis=1))[:, None]
-    results: list = []
-    for j in np.flatnonzero(_greedy_keep(near, passing)):
-        model = (f[j] / norms[j], 1.0 / math.sqrt(w[j]), res_size[j])
-        same = next((k for k, kept in enumerate(results) if _same_focal_model(kept, model)), None)
+        f = (x[:, None, None] * pencil[owners, 0] + y[:, None, None] * pencil[owners, 1]
+             + pencil[owners, 2])
+        norms = np.sqrt((f * f).reshape(-1, 9).sum(axis=1))
+        # residual of the unit-norm F: the constraint is cubic in F
+        scaled = residuals / (norms * norms * norms)
+        passing = np.isfinite(w) & (w > 1e-14) & (norms != 0.0) & (scaled <= 1e-8)
+    for j in np.flatnonzero(passing):
+        kept = results[owners[j]]
+        model = (f[j] / norms[j], 1.0 / math.sqrt(w[j]), scaled[j])
+        same = next((k for k, other in enumerate(kept) if _same_focal_model(other, model)), None)
         if same is None:
-            results.append(model)
-        elif model[2] < results[same][2]:
-            results[same] = model
-
-    results.sort(key=lambda item: item[2])
-    return results[:15]
+            kept.append(model)
+        elif model[2] < kept[same][2]:
+            kept[same] = model
+    for kept in results:
+        kept.sort(key=lambda item: item[2])
+        del kept[15:]
+    return results, solvable
 
 
 def _semicalibrated_batch(bases: np.ndarray) -> list:
-    """Semi-calibrated core over stacked null spaces (batch, 3, 9), one sample at a time.
+    """semicalibrated_candidates_batch per sample, refusing the samples without a model.
 
-    Each sample runs _solve_semicalibrated, whose roots, seeds,
-    candidates and accepted solutions are arrays with greedy order-keeping
-    scans; only the samples are a Python loop. Raw models are (F, focal)
-    pairs in the frame, in ascending residual order; a sample without a
-    real positive-focal solution is refused with NoValidFocalError, and one
-    whose pencil's eigenvalues fail to converge keeps scipy's LinAlgError.
+    Raw models are (F, focal) pairs in the frame, in ascending residual
+    order. A sample whose shifted P is singular or whose companion is not
+    finite is refused with IllConditionedSampleError, and one without a
+    real positive-focal solution with NoValidFocalError.
     """
-    out: list = []
-    for basis in bases:
-        try:
-            results = _solve_semicalibrated(basis)
-        except np.linalg.LinAlgError as exc:
-            out.append(exc)
-            continue
-        if not results:
-            out.append(NoValidFocalError("no real solution with a positive focal length"))
-            continue
-        out.append([(f, focal) for f, focal, _ in results])
-    return out
+    results, solvable = semicalibrated_candidates_batch(bases)
+    return [IllConditionedSampleError(
+        "shifted focal pencil singular or its companion not finite") if not ok
+        else [(f, focal) for f, focal, _ in found] if found
+        else NoValidFocalError("no real solution with a positive focal length")
+        for found, ok in zip(results, solvable)]
 
 
 def solve_f_focal_3sift(corr, principal_point) -> SolverOutput:

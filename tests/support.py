@@ -11,7 +11,6 @@ from siftpose.errors import DegenerateSampleError, IllConditionedSampleError, Pa
 from siftpose.fileio import BENCHMARK_COLUMNS, BenchmarkRow
 from siftpose.solvers import (
     DEGENERACY_RTOL,
-    _demixed_monomial_vectors,
     _norm,
     _polish_batch,
     _same_focal_model,
@@ -267,6 +266,27 @@ def scalar_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float
     return unique
 
 
+def two_buffer_epipolar_errors(p1h: np.ndarray, p2h: np.ndarray,
+                               stack: np.ndarray) -> np.ndarray:
+    """geometry.epipolar_error_stack as written before it reused one line buffer.
+
+    The reference for that kernel: the same arithmetic on two fresh (k, n, 3)
+    line arrays and their squares.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lines2 = p1h @ stack.transpose(0, 2, 1)
+        lines1 = p2h @ stack
+        residual = np.abs(np.einsum("ij,kij->ki", p2h, lines2))
+        n1 = np.sqrt(lines1[..., 0] ** 2 + lines1[..., 1] ** 2)
+        n2 = np.sqrt(lines2[..., 0] ** 2 + lines2[..., 1] ** 2)
+        err = 0.5 * residual * (1.0 / n1 + 1.0 / n2)
+    bad = ~np.isfinite(err)
+    if bad.any():
+        on_one_epipole = (residual[bad] == 0.0) & ((n1[bad] == 0.0) != (n2[bad] == 0.0))
+        err[bad] = np.where(on_one_epipole, 0.0, np.inf)
+    return err
+
+
 def nullspace(rows: np.ndarray, dim: int) -> np.ndarray:
     """Trailing right singular vectors spanning an expected null space.
 
@@ -327,12 +347,49 @@ def scalar_e3sift_start(rows: np.ndarray):
     return pencil, system, y, grid[np.argmin(np.where(np.isnan(res), np.inf, res))]
 
 
-def scalar_semicalibrated_rows(rows: np.ndarray):
-    """The semi-calibrated core on one sample, candidate by candidate in Python.
+def _demixed_monomial_vectors(v1: np.ndarray, v2: np.ndarray) -> list[tuple[float, float]]:
+    """(x, y) seeds from the two trailing singular vectors of a monomial system.
 
-    The reference for the array scans of solvers._solve_semicalibrated,
-    kept as that function was before them: each candidate is checked
-    against every earlier one in a Python loop.
+    Near a double root the null vector is an arbitrary mix of two monomial
+    vectors; combinations v1 + t v2 satisfying the consistency x * x = x^2 * 1
+    (and its y analogue) split the pair. Monomial indices follow the
+    bivariate degree-3 basis [x3 y3 x2y xy2 x2 y2 xy x y 1].
+    """
+    seeds: list[tuple[float, float]] = []
+
+    def push(vec: np.ndarray):
+        if abs(vec[9]) > 1e-10 * np.linalg.norm(vec):
+            seeds.append((vec[7] / vec[9], vec[8] / vec[9]))
+
+    push(v1)
+    push(v2)
+    for sq, lin in ((4, 7), (5, 8)):
+        a = v1[lin] ** 2 - v1[sq] * v1[9]
+        b = 2.0 * v1[lin] * v2[lin] - (v1[sq] * v2[9] + v2[sq] * v1[9])
+        c = v2[lin] ** 2 - v2[sq] * v2[9]
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0 or abs(c) < 1e-14 * max(abs(a), abs(b), 1e-300):
+            continue
+        sq_disc = math.sqrt(disc)
+        for sign in (1.0, -1.0):
+            push(v1 + ((-b + sign * sq_disc) / (2.0 * c)) * v2)
+    unique: list[tuple[float, float]] = []
+    for x, y in seeds:
+        if all(math.hypot(x - px, y - py) > 1e-6 * (1.0 + math.hypot(x, y))
+               for px, py in unique):
+            unique.append((x, y))
+    return unique
+
+
+def scalar_semicalibrated_rows(rows: np.ndarray):
+    """The seed-demixing semi-calibrated core on one sample, candidate by candidate in Python.
+
+    The oracle for solvers.semicalibrated_candidates_batch: the algorithm
+    that core replaced, kept as it was, with each candidate checked against
+    every earlier one in a Python loop. It reads its roots from a
+    generalized eigenvalue problem and its seeds from demixed singular
+    vectors (_demixed_monomial_vectors), where the batched core reads both
+    from eigenvectors.
 
     rows constrain F in coordinates where the shared principal point is the
     origin. Solves for F(x, y) in the three-dimensional null space and the

@@ -11,8 +11,10 @@ from siftpose.geometry import (
     FundamentalMatrix,
     RelativePose,
     decompose_essential,
+    epipolar_error_stack,
     essential_from_pose,
     fundamental_from_essential,
+    homogenize,
     normalize_points,
     relative_focal_error,
     rotation_error,
@@ -20,6 +22,7 @@ from siftpose.geometry import (
     translation_error,
 )
 import siftpose.geometry
+from support import two_buffer_epipolar_errors
 
 
 def random_rank2(rng):
@@ -102,6 +105,28 @@ class TestSymmetricEpipolarError:
         # line normals and residuals overflow
         huge = symmetric_epipolar_errors(random_rank2(rng), np.full((1, 4), 1e300))
         assert huge[0] == np.inf
+
+    def test_stack_matches_the_two_buffer_form(self):
+        # bitwise, on random stacks with non-finite entries, vanishing line
+        # normals and points on an epipole
+        rng = np.random.default_rng(7)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300])
+        for trial in range(600):
+            scale = 10.0 ** rng.integers(-3, 4)
+            pairs = scale * rng.standard_normal((int(rng.integers(1, 300)), 4))
+            stack = rng.standard_normal((int(rng.integers(1, 40)), 3, 3))
+            if trial % 3 == 0:
+                bad = rng.random(stack.shape) < 0.05
+                stack[bad] = rng.choice(specials, bad.sum())
+            if trial % 5 == 0:
+                bad = rng.random(pairs.shape) < 0.05
+                pairs[bad] = rng.choice(specials, bad.sum())
+            if trial % 7 == 0:
+                stack[0] = np.outer([1.0, 2.0, 3.0], [0.0, 0.0, 1.0])
+                pairs[0, :2] = 0.0
+            p1h, p2h = homogenize(pairs[:, :2]), homogenize(pairs[:, 2:])
+            assert (epipolar_error_stack(p1h, p2h, stack).tobytes()
+                    == two_buffer_epipolar_errors(p1h, p2h, stack).tobytes()), trial
 
     def test_wrong_shape_is_refused(self, scene):
         with pytest.raises(ValueError, match=r"\(n, 4\).*\(\d+, 8\)"):

@@ -4,7 +4,7 @@ import importlib.util
 import numpy as np
 import pytest
 
-import siftpose.solvers  # noqa: F401  (loads numpy's and scipy's BLAS before any fork)
+import siftpose.solvers  # noqa: F401  (loads numpy's BLAS before any fork)
 from siftpose.parallel import (
     ThreadLimit,
     blas_threads,
