@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Interleaved in-process A/B of solver time between two source trees, per call and per block.
+"""Interleaved in-process A/B of solver time between two source trees, per call, per block and per RANSAC run.
 
 Usage: python3 scripts/solver_timings.py <src_a> <src_b> [--scenes N] [--rounds R]
                                          [--solvers f4sift,e3sift,...] [--seed S]
+                                         [--instances I] [--size n] [--inlier-ratio r]
 
 Each of src_a and src_b is a directory holding a siftpose package, such as
 the src/ directory of a checkout. Both copies are imported into one
 process under distinct module names, so they share the interpreter, the
 BLAS (pinned to one thread, as the benchmark runs it) and the state of the
 machine. Copy A generates N default synthetic scenes and one clean
-plane-balanced minimal sample per scene and solver. Two timings run per
+plane-balanced minimal sample per scene and solver. Three timings run per
 solver, each interleaved the same way:
 
 - call: every round calls the public solver of each copy once per sample,
@@ -17,19 +18,27 @@ solver, each interleaved the same way:
   is timed like any other.
 - block: the samples' point and feature rows, as copy A's
   robust.make_problem builds them on each sample alone, are stacked into
-  blocks of 16 (RANSAC's block size; the last block wraps round to the
+  blocks of 16 (RANSAC's smallest block; the last block wraps round to the
   first samples), and every round runs each copy's solvers.solve_rows once
   per block, alternating from block to block which copy goes first. That
   is the path RANSAC runs: the solver's row layout, the non-finite screen,
   the batched SVD of the rows with its rank screen, and the batched core.
+- ransac: copy A's bench.make_robust_instance builds I instances of n
+  correspondences with inlier ratio r and 0.5 px noise, instance t from
+  SeedSequence((S, t)). Every round runs one full robust.make_problem plus
+  robust.ransac (RansacConfig(seed=t)) of each copy per instance,
+  alternating from instance to instance which copy goes first.
 
 Prints, per solver and timing: the median and mean time of each copy in ms
-(per sample for blocks: the block time over 16), the ratio of the medians
-(b/a), the range of the per-round median ratios, and the number of refused
-samples of each copy: refused calls, or block entries that solve_rows
-returns as an exception.
+(per sample for calls and blocks, the block time over 16; per instance for
+ransac), the ratio of the medians (b/a), the range of the per-round median
+ratios, and a count per copy: refused samples for calls and blocks (refused
+calls, or block entries that solve_rows returns as an exception); for
+ransac, the number of instances whose reports differ between the copies in
+any field but the wall time, bit for bit.
 """
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -80,6 +89,35 @@ def time_block(solvers, info, block) -> tuple[float, int]:
     return elapsed / BLOCK, sum(isinstance(entry, Exception) for entry in out)
 
 
+def report_bits(value):
+    """A RansacReport, minus its wall time, as nested tuples equal only when bitwise equal.
+
+    Models of the two copies are instances of distinct classes, so a
+    dataclass becomes the tuple of its fields' values.
+    """
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, report_bits(getattr(value, f.name)))
+                     for f in dataclasses.fields(value) if f.name != "wall_time")
+    if isinstance(value, tuple):
+        return tuple(report_bits(v) for v in value)
+    return value
+
+
+def time_ransac(copy, solver_id, instance, reports) -> tuple[float, int]:
+    """One make_problem and ransac of a copy on (t, corr, k1, k2, pp); keeps the report's bits."""
+    t, corr, k1, k2, pp = instance
+    start = time.perf_counter()
+    problem = copy.robust.make_problem(solver_id, corr, k1=k1, k2=k2, principal_point=pp)
+    report = copy.robust.ransac(problem, copy.robust.RansacConfig(seed=t))
+    elapsed = time.perf_counter() - start
+    reports.setdefault(t, report_bits(report))
+    return elapsed, 0
+
+
 def interleaved(rounds: int, items: list, runs) -> tuple[list, list, list]:
     """Times of both copies and per-round median ratios (b/a).
 
@@ -112,6 +150,11 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--solvers", default=",".join(CALLS))
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--instances", type=int, default=10,
+                        help="robust instances per solver for the ransac timing (0: none)")
+    parser.add_argument("--size", type=int, default=200,
+                        help="correspondences per robust instance")
+    parser.add_argument("--inlier-ratio", type=float, default=0.6)
     args = parser.parse_args(argv)
     solver_ids = [s.strip() for s in args.solvers.split(",") if s.strip()]
     unknown = sorted(set(solver_ids) - set(CALLS))
@@ -123,6 +166,7 @@ def main(argv=None) -> int:
     solvers = [importlib.import_module(f"{copy.__name__}.solvers") for copy in copies]
     synthetic = importlib.import_module("siftpose_a.synthetic")
     robust = importlib.import_module("siftpose_a.robust")
+    bench = importlib.import_module("siftpose_a.bench")
 
     rng = np.random.default_rng(args.seed)
     scenes = [synthetic.generate_scene(synthetic.SyntheticConfig(), rng)
@@ -136,12 +180,21 @@ def main(argv=None) -> int:
         samples[solver_id] = [
             (scene.correspondences[synthetic._balanced_sample(rng, scene.plane_ids, size)],
              scene.principal_point) for scene in scenes]
+    robust_instances = [bench.make_robust_instance(
+        args.size, args.inlier_ratio, 0.5,
+        np.random.default_rng(np.random.SeedSequence((args.seed, t))))[:2]
+        for t in range(args.instances)]
+    # each copy's instances: (t, corr, k1, k2, pp) with its own intrinsics
+    instances = [[(t, corr, *(copy.geometry.CameraIntrinsics.from_matrix(k.matrix())
+                              for k in (scene.k1, scene.k2)), scene.principal_point)
+                  for t, (scene, corr) in enumerate(robust_instances)] for copy in copies]
 
     print(f"a: {os.path.abspath(args.src_a)}\nb: {os.path.abspath(args.src_b)}")
     print(f"{args.scenes} samples per solver, {args.rounds} rounds, times in ms per sample; "
-          f"blocks of {BLOCK} samples")
+          f"blocks of {BLOCK} samples; ransac on {args.instances} instances of {args.size} "
+          f"correspondences at inlier ratio {args.inlier_ratio}, times in ms per instance")
     print(f"{'solver':8} {'timing':6} {'a median':>9} {'b median':>9} {'b/a':>6} "
-          f"{'round b/a':>12} {'a mean':>8} {'b mean':>8} {'refused a/b':>12}")
+          f"{'round b/a':>12} {'a mean':>8} {'b mean':>8} {'refused a/b':>12} {'differ':>6}")
     for solver_id in solver_ids:
         call = CALLS[solver_id]
         items = [(corr, pp, i) for i, (corr, pp) in enumerate(samples[solver_id])]
@@ -163,14 +216,22 @@ def main(argv=None) -> int:
                            if info.uses_orientation else None))
         cores = [lambda block, side=side: time_block(
             solvers[side], solvers[side].solver_info(solver_id), block) for side in (0, 1)]
-        for timing, (times, round_ratios, refused) in (
-                ("call", interleaved(args.rounds, items, calls)),
-                ("block", interleaved(args.rounds, blocks, cores))):
+        reports = [{}, {}]
+        runs = [lambda item, side=side: time_ransac(copies[side], solver_id,
+                                                    instances[side][item], reports[side])
+                for side in (0, 1)]
+        timings = [("call", interleaved(args.rounds, items, calls)),
+                   ("block", interleaved(args.rounds, blocks, cores))]
+        if instances[0]:
+            timings.append(("ransac", interleaved(args.rounds, range(args.instances), runs)))
+        for timing, (times, round_ratios, refused) in timings:
             med = [1e3 * statistics.median(t) for t in times]
             mean = [1e3 * statistics.fmean(t) for t in times]
+            differ = (f"{sum(reports[0][t] != reports[1][t] for t in reports[0]):>6}"
+                      if timing == "ransac" else "")
             print(f"{solver_id:8} {timing:6} {med[0]:9.3f} {med[1]:9.3f} {med[1] / med[0]:6.3f} "
                   f"{min(round_ratios):5.3f}-{max(round_ratios):5.3f} "
-                  f"{mean[0]:8.3f} {mean[1]:8.3f} {refused[0]:>6}/{refused[1]}")
+                  f"{mean[0]:8.3f} {mean[1]:8.3f} {refused[0]:>6}/{refused[1]:<5} {differ}")
     return 0
 
 

@@ -15,6 +15,7 @@ and runs the solver cores.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -27,6 +28,10 @@ from .solvers import as_pair_array, as_sift_array, frame_rows, solve_f_8pt, solv
 
 LO_MAX_ROUNDS = 10
 LO_THRESHOLD_BOOST = 48.0
+# ransac's blocks: at least MIN_BLOCK samples, and samples times
+# correspondences at most BLOCK_BUDGET above that floor
+MIN_BLOCK = 16
+BLOCK_BUDGET = 32768
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,11 @@ class RansacConfig:
             raise ValueError("confidence must be in (0, 1)")
         if not (math.isfinite(self.threshold) and self.threshold > 0.0):
             raise ValueError("threshold must be finite and positive")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, numbers.Integral)
+                or self.max_iterations < 0):
+            raise ValueError(f"max_iterations must be a non-negative integer, "
+                             f"got {self.max_iterations!r}")
 
 
 @dataclass
@@ -291,6 +299,18 @@ def ransac(problem, config: RansacConfig = RansacConfig()) -> RansacReport:
     best-model update are all sequential. Raises ValueError, before any
     draw, when there are fewer correspondences than a sample or when the
     threshold is not finite and positive once scaled into the solver frame.
+
+    Samples are drawn, solved and scored in blocks that grow with the run:
+    each block takes max(MIN_BLOCK, min(iterations, BLOCK_BUDGET // n))
+    samples, so it roughly doubles (16, 16, 32, 64, ...), never past the
+    current stop min(needed, max_iterations), and samples times
+    correspondences stay within BLOCK_BUDGET above the floor of MIN_BLOCK.
+    The schedule cannot change a report: consecutive rng.random blocks
+    continue one stream, the degeneracy test, solve_rows and the scoring
+    kernel give each sample's row bitwise as if it were alone, and the
+    samples are taken one by one in draw order with the stop test before
+    each. An improvement that lowers the stop inside a block leaves the
+    rest of that block solved but not taken.
     """
     n = problem.size
     m = problem.sample_size
@@ -311,10 +331,11 @@ def ransac(problem, config: RansacConfig = RansacConfig()) -> RansacReport:
     iterations = 0
     needed = config.max_iterations
 
-    block_size = 16
-    while iterations < min(needed, config.max_iterations):
+    while iterations < (stop := min(needed, config.max_iterations)):
         # draw, solve and score a whole block at once, then take its samples
         # in draw order until the stop condition holds
+        block_size = min(stop - iterations,
+                         max(MIN_BLOCK, min(iterations, BLOCK_BUDGET // n)))
         keys = rng.random((block_size, n))
         draws = np.argpartition(keys, min(m, n - 1), axis=1)[:, :m]
         usable = ~degenerate_draws(problem.pixel_pairs, draws, problem.info.collinear_degenerate)

@@ -1,5 +1,6 @@
-"""Test support: the affinity -> orientation/scale oracle, scalar references and CLI output readers."""
+"""Test support: the affinity -> orientation/scale oracle, scalar references, the fixed-block RANSAC loop and CLI output readers."""
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,14 @@ from siftpose import _poly
 from siftpose.constraints import circle_compatible_angles
 from siftpose.errors import DegenerateSampleError, IllConditionedSampleError, ParseError
 from siftpose.fileio import BENCHMARK_COLUMNS, BenchmarkRow
+from siftpose.robust import (
+    RansacConfig,
+    RansacReport,
+    degenerate_draws,
+    local_optimize,
+    required_iterations,
+    score_msac,
+)
 from siftpose.solvers import (
     DEGENERACY_RTOL,
     _norm,
@@ -285,6 +294,85 @@ def two_buffer_epipolar_errors(p1h: np.ndarray, p2h: np.ndarray,
         on_one_epipole = (residual[bad] == 0.0) & ((n1[bad] == 0.0) != (n2[bad] == 0.0))
         err[bad] = np.where(on_one_epipole, 0.0, np.inf)
     return err
+
+
+def fixed_block_ransac(problem, config: RansacConfig = RansacConfig()) -> RansacReport:
+    """robust.ransac as written before its blocks grew with the run.
+
+    The reference for the block schedule: every block draws, solves and
+    scores exactly 16 samples, whatever the stop and the data size.
+    """
+    n = problem.size
+    m = problem.sample_size
+    if n < m:
+        raise ValueError(f"need at least {m} correspondences, got {n}")
+    threshold = config.threshold * problem.threshold_factor
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold is {threshold} in the solver frame, not finite and positive")
+    rng = np.random.default_rng(config.seed)
+
+    start = time.perf_counter()
+    best_model = None
+    best_score = math.inf
+    best_inliers = np.empty(0, dtype=int)
+    models_scored = 0
+    lo_rounds_total = 0
+    warnings = []
+    iterations = 0
+    needed = config.max_iterations
+
+    block_size = 16
+    while iterations < min(needed, config.max_iterations):
+        # draw, solve and score a whole block at once, then take its samples
+        # in draw order until the stop condition holds
+        keys = rng.random((block_size, n))
+        draws = np.argpartition(keys, min(m, n - 1), axis=1)[:, :m]
+        usable = ~degenerate_draws(problem.pixel_pairs, draws, problem.info.collinear_degenerate)
+        solved = [[] for _ in range(block_size)]
+        if usable.any():
+            block = problem.solve_minimal_batch(draws[usable])
+            for slot, models in zip(np.nonzero(usable)[0], block):
+                solved[slot] = models
+        flat = [model for models in solved for model in models]
+        if flat:
+            scores, masks = score_msac(problem.block_errors(flat), threshold)
+            counts = np.count_nonzero(masks, axis=1)
+        offset = 0
+        for models in solved:
+            if iterations >= min(needed, config.max_iterations):
+                break
+            iterations += 1
+            improved = False
+            for j in range(offset, offset + len(models)):
+                models_scored += 1
+                if scores[j] < best_score and counts[j] >= m:
+                    best_model, best_score = flat[j], float(scores[j])
+                    best_inliers = np.nonzero(masks[j])[0]
+                    improved = True
+            offset += len(models)
+            if not improved:
+                continue
+            if config.lo_enabled:
+                lo_model, lo_score, lo_inliers, rounds, _, warn = local_optimize(
+                    problem, best_model, best_inliers, threshold)
+                models_scored += rounds
+                lo_rounds_total += rounds
+                if warn and warn not in warnings:
+                    warnings.append(warn)
+                if lo_score < best_score:
+                    best_model, best_score, best_inliers = lo_model, lo_score, lo_inliers
+            needed = required_iterations(best_inliers.shape[0] / n, m, config.confidence)
+
+    wall = time.perf_counter() - start
+    if best_model is None:
+        return RansacReport(model=None, inliers=np.empty(0, dtype=int),
+                            iterations_run=iterations, models_scored=models_scored,
+                            wall_time=wall, score=math.inf, success=False,
+                            warnings=("no model found",), lo_rounds=lo_rounds_total)
+    return RansacReport(model=problem.finalize(best_model), inliers=best_inliers,
+                        iterations_run=iterations, models_scored=models_scored,
+                        wall_time=wall, score=best_score, success=True,
+                        warnings=tuple(warnings), lo_rounds=lo_rounds_total)
 
 
 def nullspace(rows: np.ndarray, dim: int) -> np.ndarray:

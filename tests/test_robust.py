@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -6,9 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from siftpose import robust
 from siftpose.bench import make_robust_instance, pose_errors
 from siftpose.geometry import CameraIntrinsics, rotation_error, symmetric_epipolar_errors
 from siftpose.robust import (
+    BLOCK_BUDGET,
+    MIN_BLOCK,
     EssentialProblem,
     FocalProblem,
     FundamentalProblem,
@@ -23,6 +27,7 @@ from siftpose.robust import (
 
 from siftpose.solvers import run_minimal_solver, solve_f_8pt, solver_info
 
+import support
 from conftest import spanning_indices
 
 
@@ -384,6 +389,11 @@ class TestRansacEndToEnd:
     def test_iteration_budget_validation(self, scene):
         with pytest.raises(ValueError, match="max_iterations"):
             RansacConfig(max_iterations=-1)
+        # a budget is a count: no fraction, infinity, NaN or bool
+        for value in (2.5, math.inf, math.nan, True, False, 3.0, "7"):
+            with pytest.raises(ValueError, match="max_iterations"):
+                RansacConfig(max_iterations=value)
+        assert RansacConfig(max_iterations=np.int64(7)).max_iterations == 7
         report = ransac(FundamentalProblem(scene.correspondences, "f7pt"),
                         RansacConfig(max_iterations=0))
         assert not report.success and report.iterations_run == 0
@@ -443,3 +453,86 @@ class TestRansacEndToEnd:
             problem = make_problem(solver_id, corr, k1=scene.k1, k2=scene.k2)
             scored[solver_id] = ransac(problem, RansacConfig(seed=5)).models_scored
         assert scored["e5pt"] / scored["e3sift"] >= 2.0
+
+
+def _bits(value):
+    """A value in a form that compares equal only when it is bitwise equal."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return type(value), value
+
+
+def _recording(sizes, function, at):
+    """function, appending to sizes the length of its argument number `at`."""
+    def recorded(*args):
+        sizes.append(len(args[at]))
+        return function(*args)
+    return recorded
+
+
+def _counted_problem(solver_id, scene, corr):
+    """A problem whose solve_minimal_batch records the size of every block it solves."""
+    problem = make_problem(solver_id, corr, k1=scene.k1, k2=scene.k2,
+                           principal_point=scene.principal_point)
+    solved = []
+    problem.solve_minimal_batch = _recording(solved, problem.solve_minimal_batch, 0)
+    return problem, solved
+
+
+def _schedule_cases():
+    pair_solvers = ("f4sift", "f7pt", "e3sift", "e5pt")
+    for solver_id in pair_solvers:
+        for t in range(6):
+            yield solver_id, (200, 0.6, 5, t), RansacConfig(seed=t)
+        for t in range(3):
+            yield solver_id, (1000, 0.9, 6, t), RansacConfig(seed=t)
+    for solver_id in pair_solvers + ("ff3sift", "ff6pt"):
+        for budget in (0, 1, 17, 100):
+            yield solver_id, (200, 0.6, 7, budget), RansacConfig(
+                max_iterations=budget, lo_enabled=False, seed=budget)
+        yield solver_id, (200, 0.6, 8, 0), RansacConfig(
+            confidence=0.999999, max_iterations=700, seed=3)
+    # beyond BLOCK_BUDGET / MIN_BLOCK correspondences no block exceeds the floor
+    yield "f7pt", (2500, 0.6, 9, 0), RansacConfig(max_iterations=100, lo_enabled=False)
+    yield "e3sift", (2500, 0.6, 9, 1), RansacConfig(seed=1)
+
+
+class TestBlockSchedule:
+    @pytest.mark.parametrize("solver_id,instance,config", list(_schedule_cases()))
+    def test_reports_match_the_fixed_block_loop(self, solver_id, instance, config, monkeypatch):
+        # growing blocks continue one random stream and the solve and score
+        # kernels treat each sample alone, so every report field but the wall
+        # time is the fixed 16-sample loop's, bit for bit
+        n, ratio, stream, trial = instance
+        scene, corr, _ = make_robust_instance(
+            n, ratio, 0.5, np.random.default_rng(np.random.SeedSequence((stream, trial))))
+        drawn, oracle_drawn = [], []
+        monkeypatch.setattr(robust, "degenerate_draws",
+                            _recording(drawn, robust.degenerate_draws, 1))
+        monkeypatch.setattr(support, "degenerate_draws",
+                            _recording(oracle_drawn, support.degenerate_draws, 1))
+        problem, solved = _counted_problem(solver_id, scene, corr)
+        oracle_problem, oracle_solved = _counted_problem(solver_id, scene, corr)
+        report = ransac(problem, config)
+        expected = support.fixed_block_ransac(oracle_problem, config)
+        for field in dataclasses.fields(report):
+            if field.name != "wall_time":
+                assert _bits(getattr(report, field.name)) == _bits(getattr(expected, field.name)), \
+                    field.name
+        assert set(oracle_drawn) <= {16}
+        # fewer blocks, each at most the samples before it (at least 16) and
+        # within the block budget; every block is entered
+        assert len(drawn) <= len(oracle_drawn)
+        for i, size in enumerate(drawn):
+            assert size <= max(MIN_BLOCK, min(sum(drawn[:i]), BLOCK_BUDGET // n))
+        assert sum(drawn[:-1]) < report.iterations_run <= sum(drawn) or drawn == []
+        assert sum(drawn) <= config.max_iterations
+        # the run's samples are the oracle's, so only draws past the
+        # oracle's last block can add solves, and those lie in the last block
+        assert sum(solved) <= sum(oracle_solved) + max(0, sum(drawn) - sum(oracle_drawn))
